@@ -356,7 +356,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.budget is None:
-        args.budget = int(os.environ.get("FRIEZES_BUDGET", DEFAULT_BUDGET))
+        env = os.environ.get("FRIEZES_BUDGET", str(DEFAULT_BUDGET))
+        try:
+            args.budget = int(env)
+        except ValueError:
+            print(f"error: FRIEZES_BUDGET must be an integer, got {env!r}", file=sys.stderr)
+            return EXIT_INPUT
     try:
         return args.func(args)
     except BudgetExceeded as exc:

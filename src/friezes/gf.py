@@ -570,14 +570,6 @@ class Mat2:
         return f"Mat2[[{e[0]}, {e[1]}], [{e[2]}, {e[3]}]]"
 
 
-def mat2_mul(a: Mat2, b: Mat2) -> Mat2:
-    return a @ b
-
-
-def mat2_det(a: Mat2) -> FieldElement:
-    return a.det()
-
-
 def pgl2_elements(spec: FieldSpec) -> tuple[Mat2, ...]:
     """One invertible matrix per scalar class, q^3 - q in total.
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -215,6 +215,33 @@ class OrbitSummary:
         return sorted(self.sizes)
 
 
+def _orbit_key_function(spec: FieldSpec) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """Key function sending a configuration's index tuple to the
+    lexicographically smallest tuple in its PGL2 orbit.
+
+    PGL2 acts sharply 3-transitively on P^1 and cyclically adjacent points
+    differ, so the smallest image of t starts (0, 1) and sends the first
+    point outside {t[0], t[1]} to 2: it is the image of t under the unique
+    element taking t[0], t[1] and that point to the indices 0, 1, 2.  A tuple
+    with only two distinct points maps to its 0/1 pattern.  Each key costs
+    O(n) once the table from ordered triples to permutations is built.
+    """
+    by_triple = {
+        (perm.index(0), perm.index(1), perm.index(2)): perm
+        for perm in pgl2_point_permutations(spec)
+    }
+
+    def key(tup: tuple[int, ...]) -> tuple[int, ...]:
+        a, b = tup[0], tup[1]
+        for c in tup:
+            if c != a and c != b:
+                perm = by_triple[a, b, c]
+                return tuple([perm[i] for i in tup])
+        return tuple([0 if i == a else 1 for i in tup])
+
+    return key
+
+
 def pgl2_orbit_count(
     spec: FieldSpec,
     n: int,
@@ -222,12 +249,12 @@ def pgl2_orbit_count(
     budget: int = DEFAULT_BUDGET,
 ) -> OrbitSummary:
     """Partition the configurations into PGL2 orbits by canonical-representative
-    hashing: each tuple is mapped through every group element and the
-    lexicographically smallest image is its orbit key."""
-    perms = pgl2_point_permutations(spec)
+    hashing: each tuple's orbit key is its lexicographically smallest image,
+    computed in O(n) by sharp 3-transitivity (see _orbit_key_function)."""
+    key = _orbit_key_function(spec)
     counter: Counter[tuple[int, ...]] = Counter()
     for tup in configuration_index_tuples(spec, n, sign_filter, budget):
-        counter[min(tuple(perm[i] for i in tup) for perm in perms)] += 1
+        counter[key(tup)] += 1
     reps = sorted(counter)
     return OrbitSummary(
         spec,
@@ -426,7 +453,6 @@ def frieze_to_configuration(row: FirstRow) -> Configuration:
 
 
 def orbit_of(config: Configuration) -> tuple[int, ...]:
-    """Canonical representative (as point indices) of the PGL2 orbit."""
-    perms = pgl2_point_permutations(config.spec)
-    tup = config.indices
-    return min(tuple(perm[i] for i in tup) for perm in perms)
+    """Canonical representative (as point indices) of the PGL2 orbit: the
+    lexicographically smallest image, by the same key as pgl2_orbit_count."""
+    return _orbit_key_function(config.spec)(config.indices)

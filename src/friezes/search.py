@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 import time
-from collections import Counter, defaultdict
+from bisect import bisect_left
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -135,7 +136,13 @@ def enumerate_friezes(
 ) -> EnumerationResult:
     """All first rows of tame friezes of the given width, with dihedral
     orbit catalog.  Solutions are retained as sorted tuples of element codes
-    while their number stays below config.keep_tuples_below."""
+    while their number stays below config.keep_tuples_below.
+
+    The catalog is one walk over the sorted solutions, which relies on the
+    solution set being closed under rotation and reversal of rows, as the
+    frieze condition is.  The first unmarked solution is the smallest member
+    of its orbit; its orbit is built once and each member is marked at its
+    sorted position."""
     if width < 1:
         raise ValueError("enumeration needs width >= 1")
     if strategy not in ("naive", "mitm"):
@@ -157,22 +164,24 @@ def enumerate_friezes(
             lambda f: _mitm_chunk(spec, nl, f, table), firsts, config.workers
         )
 
-    total = 0
-    orbit_counter: Counter[tuple[int, ...]] = Counter()
-    tuples: list[tuple[int, ...]] | None = []
-    for chunk in chunks:  # chunks arrive in first-code order, each sorted
-        total += len(chunk)
-        for t in chunk:
-            orbit_counter[min(dihedral_orbit_codes(t))] += 1
-        if tuples is not None:
-            if total <= config.keep_tuples_below:
-                tuples.extend(chunk)
-            else:
-                tuples = None
-    orbits = [
-        (FirstRow.from_codes(spec, rep), size)
-        for rep, size in sorted(orbit_counter.items())
-    ]
+    # chunks arrive in first-code order, each sorted, so this is sorted
+    solutions = [t for chunk in chunks for t in chunk]
+    del chunks
+    total = len(solutions)
+    marked = bytearray(total)
+    orbits = []
+    for pos, t in enumerate(solutions):
+        if marked[pos]:
+            continue
+        # every earlier member of t's orbit would have marked it: t is the
+        # orbit's smallest member
+        orbit = dihedral_orbit_codes(t)
+        for member in orbit:
+            slot = bisect_left(solutions, member)
+            assert slot < total and solutions[slot] == member, "solutions not dihedral-closed"
+            marked[slot] = 1
+        orbits.append((FirstRow.from_codes(spec, t), len(orbit)))
+    tuples = solutions if total <= config.keep_tuples_below else None
     elapsed = time.perf_counter() - start
     return EnumerationResult(spec, width, total, orbits, elapsed, strategy, tuples)
 

@@ -58,6 +58,15 @@ def test_budget_env_override(capsys, monkeypatch):
     assert code == 2
 
 
+def test_budget_env_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("FRIEZES_BUDGET", "abc")
+    code, out, err = run(capsys, "count", "--field", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "FRIEZES_BUDGET" in err
+    assert "Traceback" not in err
+
+
 def test_count_friezes_table(capsys):
     code, out, _ = run(
         capsys, "--format", "json", "count", "--field", "3", "--max-width", "7"

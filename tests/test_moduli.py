@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -29,6 +30,8 @@ from friezes.formulas import (
 from friezes.gf import pgl2_point_permutations
 from friezes.moduli import configuration_index_tuples, orbit_of, parse_points
 from friezes.search import enumerate_friezes
+
+from helpers import field_by_q
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -137,6 +140,36 @@ def test_orbit_counts_match_closed_forms():
         for m in (1, 2, 3):
             got = pgl2_orbit_count(spec, 2 * m, "plus").count
             assert got == count_moduli_plus(spec.q, spec.char_is_2, m)
+    for q in (4, 5, 7, 8, 9):
+        spec = field_by_q(q)
+        for n in range(2, 6):
+            assert pgl2_orbit_count(spec, n).count == count_moduli(q, n)
+        got = pgl2_orbit_count(spec, 4, "plus").count
+        assert got == count_moduli_plus(q, spec.char_is_2, 2)
+
+
+def test_orbit_key_matches_group_scan():
+    # the reference is the lexicographically smallest image over the whole
+    # group, which the library finds by sharp 3-transitivity instead; the
+    # scan's value is the same for every member of an orbit, so it runs once
+    # per orbit and is looked up for the other members
+    for q in (2, 3, 4, 5, 7):
+        spec = field_by_q(q)
+        perms = pgl2_point_permutations(spec)
+        for n in range(2, 6):
+            scan_min = {}
+            two_point = 0
+            for t in configuration_index_tuples(spec, n):
+                if t not in scan_min:
+                    images = {tuple(perm[i] for i in t) for perm in perms}
+                    scan_min.update(dict.fromkeys(images, min(images)))
+                two_point += len(set(t)) == 2
+                assert orbit_of(Configuration.from_indices(spec, t)) == scan_min[t]
+            assert two_point == (q + 1) * q * (n % 2 == 0)
+            reference = Counter(scan_min.values())
+            summary = pgl2_orbit_count(spec, n)
+            assert [rep.indices for rep in summary.representatives] == sorted(reference)
+            assert list(summary.sizes) == [reference[rep] for rep in sorted(reference)]
 
 
 def test_orbit_sizes():

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -89,6 +90,21 @@ def test_solution_set_closed_under_dihedral_action():
         solutions = set(result.tuples)
         for t in solutions:
             assert dihedral_orbit_codes(t) <= solutions
+
+
+def test_orbit_walk_matches_per_tuple_canonicalization():
+    # rows with rotational or reflective symmetry have orbits smaller than
+    # 2n, which the walk must size from the orbit it builds
+    cases = [(F2, w) for w in range(1, 11)] + [(F3, w) for w in range(1, 6)]
+    for spec, w in cases:
+        result = enumerate_friezes(spec, w)
+        per_tuple = Counter(min(dihedral_orbit_codes(t)) for t in result.tuples)
+        assert [(rep.codes, size) for rep, size in result.orbits] == sorted(per_tuple.items())
+        assert any(size < 2 * (w + 3) for _, size in result.orbits)
+        dropped = enumerate_friezes(spec, w, config=SearchConfig(keep_tuples_below=0))
+        assert dropped.tuples is None
+        assert dropped.orbits == result.orbits
+        assert catalog_orbits(dropped) == catalog_orbits(result)
 
 
 def test_published_orbit_catalogs():
