@@ -46,7 +46,7 @@ def _emit(args, payload, text: str):
 
 def cmd_enumerate(args) -> int:
     spec = parse_field_descriptor(args.field)
-    config = search.SearchConfig(budget=args.budget, workers=args.workers)
+    config = search.SearchConfig(budget=args.budget)
     result = search.enumerate_friezes(spec, args.width, args.strategy, config)
     if args.format == "json":
         print(json.dumps(search.enumeration_to_json_dict(result)))
@@ -93,7 +93,7 @@ def cmd_count(args) -> int:
 
 
 def _verify_friezes(spec, args, report):
-    config = search.SearchConfig(budget=args.budget, workers=args.workers)
+    config = search.SearchConfig(budget=args.budget)
     ok = True
     for check in search.verify_count_formula(spec, args.max_width, config=config):
         report.append(
@@ -301,7 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text", help="output format"
     )
     parser.add_argument(
-        "--workers", type=int, default=1, help="worker count for enumerations"
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility (>= 1); enumeration runs in one thread",
     )
     parser.add_argument(
         "--budget",
@@ -352,15 +355,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_error(args) -> str | None:
+    """The first flag outside its range, or None.  An empty --max-width or
+    --max-n range is an error, so that exit 0 always means something ran."""
+    if args.workers < 1:
+        return f"--workers must be >= 1, got {args.workers}"
+    if args.budget is not None and args.budget < 0:
+        return f"--budget must be >= 0, got {args.budget}"
+    if args.command in ("count", "verify"):
+        if args.max_width < 1:
+            return f"--max-width must be >= 1, got {args.max_width}"
+        if args.max_n < 2:
+            return f"--max-n must be >= 2, got {args.max_n}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _flag_error(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_INPUT
     if args.budget is None:
         env = os.environ.get("FRIEZES_BUDGET", str(DEFAULT_BUDGET))
         try:
             args.budget = int(env)
         except ValueError:
             print(f"error: FRIEZES_BUDGET must be an integer, got {env!r}", file=sys.stderr)
+            return EXIT_INPUT
+        if args.budget < 0:
+            print(f"error: FRIEZES_BUDGET must be >= 0, got {args.budget}", file=sys.stderr)
             return EXIT_INPUT
     try:
         return args.func(args)

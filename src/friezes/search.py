@@ -1,28 +1,31 @@
 """Exhaustive enumeration of tame friezes of a given width over GF(q).
 
-A width-w frieze is an n-tuple (n = w + 3) whose matrices M(a_i) multiply to
--Id, so the search space is q^n.  Two strategies:
+A width-w frieze is an n-tuple (n = w + 3) whose matrices M(a) = [[a, -1],
+[1, 0]] multiply to M(a_n)...M(a_1) = -Id.  That is three independent
+equations on SL2(F_q), so about q^(n-3) of the q^n tuples solve it and three
+entries of a row follow from the others.  Two strategies:
 
-  naive  depth-first over the first n-1 coordinates, carrying the prefix
-         product; the last coordinate is forced (the prefix must have the
-         shape [[0, -1], [1, d]], and then a_n = -d), so the work is ~q^(n-1).
+  naive  depth-first over a_1..a_{n-3}, carrying the prefix product P; then
+         M(a_n) M(a_{n-1}) M(a_{n-2}) = -P^(-1) forces a_{n-1} = p00 and
+         determines a_{n-2} and a_n (one completion when p00 != 0, q or none
+         when p00 = 0), so the work is ~q^(n-3) states in all.
 
-  mitm   split n = nl + nr with nl = ceil(n/2); index the q^nr right-half
-         products in a hash table keyed by their entries, then for each
-         left-half product L look up -L^(-1).
+  mitm   split n = nl + nr + 1 with nl = n // 2; tabulate the q^nr middle
+         products R = M(a_{n-1})...M(a_{nl+1}) keyed by R's first row, then
+         for each left product L = M(a_nl)...M(a_1) the equation
+         R L = -M(a_n)^(-1) = [[0, -1], [1, -a_n]] fixes that first row as
+         (l10, -l00) and every entry of its bucket fixes a_n, so the work is
+         q^nl left leaves plus the q^nr table.
 
-Both return identical, lexicographically sorted results.  Enumeration over
-the first coordinate is embarrassingly parallel; chunks are merged in code
-order so the output is byte-stable for any worker count.
+Both return identical, lexicographically sorted results, with the chunks of
+each first code concatenated in code order.  The search runs in one thread.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from bisect import bisect_left
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded
@@ -33,6 +36,9 @@ from .gf import FieldSpec
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Search limits.  ``workers`` is accepted for compatibility and
+    ignored: the search runs in one thread, whatever its value."""
+
     budget: int = DEFAULT_BUDGET
     workers: int = 1
     keep_tuples_below: int = 1_000_000
@@ -61,16 +67,25 @@ def _estimated_work(q: int, n: int, strategy: str) -> int:
 
 
 def _naive_chunk(spec: FieldSpec, n: int, first: int) -> list[tuple[int, ...]]:
-    mul, sub, neg = spec.mul_code, spec.sub_code, spec.neg_code
+    """Rows with a_1 = first, in lex order: a_2..a_{n-3} are scanned and the
+    last three entries solved from the prefix product."""
+    mul, add, sub, neg, inv = (
+        spec.mul_code, spec.add_code, spec.sub_code, spec.neg_code, spec.inv_code
+    )
     codes = range(spec.q)
     neg1 = neg(1)
     out = []
 
     def go(depth, p00, p01, p10, p11, prefix):
-        if depth == n - 1:
-            # remaining factor must be M(x) = -P^(-1): forces the shape below
-            if p00 == 0 and p01 == neg1 and p10 == 1:
-                out.append(prefix + (neg(p11),))
+        if depth == n - 3:
+            # M(z) M(p00) M(y) = -P^(-1) = [[-p11, p01], [p10, -p00]] needs
+            # y p00 = 1 + p10 and gives z = p11 - y p01; det P = 1 does the rest
+            if p00:
+                y = mul(add(1, p10), inv(p00))
+                out.append(prefix + (y, p00, sub(p11, mul(y, p01))))
+            elif p10 == neg1:
+                for y in codes:
+                    out.append(prefix + (y, 0, sub(p11, mul(y, p01))))
             return
         for x in codes:
             go(depth + 1, sub(mul(x, p00), p10), sub(mul(x, p01), p11), p00, p01, prefix + (x,))
@@ -80,29 +95,30 @@ def _naive_chunk(spec: FieldSpec, n: int, first: int) -> list[tuple[int, ...]]:
 
 
 def _mitm_table(spec: FieldSpec, nr: int):
-    """Right-half products M(a_n)...M(a_{nl+1}) keyed by their four entries."""
-    mul, add, neg = spec.mul_code, spec.add_code, spec.neg_code
+    """Middle products R = M(a_{n-1})...M(a_{nl+1}) keyed by R's first row
+    (r00, r01).  Each bucket lists (mid, r10, r11) with mid = (a_{nl+1}, ...,
+    a_{n-1}), in lex order of mid."""
+    mul, sub, neg = spec.mul_code, spec.sub_code, spec.neg_code
     codes = range(spec.q)
     neg1 = neg(1)
     table = defaultdict(list)
 
-    def go(depth, p00, p01, p10, p11, suffix):
+    def go(depth, r00, r01, r10, r11, mid):
         if depth == nr:
-            table[(p00, p01, p10, p11)].append(suffix)
+            table[(r00, r01)].append((mid, r10, r11))
             return
         for x in codes:
-            # extend one position to the left: P <- P @ M(x)
-            go(depth + 1, add(mul(p00, x), p01), neg(p00), add(mul(p10, x), p11), neg(p10), (x,) + suffix)
+            go(depth + 1, sub(mul(x, r00), r10), sub(mul(x, r01), r11), r00, r01, mid + (x,))
 
     for x in codes:
         go(1, x, neg1, 1, 0, (x,))
-    for bucket in table.values():
-        bucket.sort()
     return dict(table)
 
 
 def _mitm_chunk(spec: FieldSpec, nl: int, first: int, table) -> list[tuple[int, ...]]:
-    mul, sub, neg = spec.mul_code, spec.sub_code, spec.neg_code
+    """Rows with a_1 = first, in lex order: each left product L is completed
+    by the table bucket at R's forced first row, and a_n is solved."""
+    mul, add, sub, neg = spec.mul_code, spec.add_code, spec.sub_code, spec.neg_code
     codes = range(spec.q)
     neg1 = neg(1)
     out = []
@@ -110,22 +126,16 @@ def _mitm_chunk(spec: FieldSpec, nl: int, first: int, table) -> list[tuple[int, 
 
     def go(depth, p00, p01, p10, p11, prefix):
         if depth == nl:
-            need = (neg(p11), p01, p10, neg(p00))  # -L^(-1), det L = 1
-            for suffix in table.get(need, empty):
-                out.append(prefix + suffix)
+            # R L = [[0, -1], [1, -a_n]]: R's first row is (p10, -p00), the
+            # (1, 0) entry follows from det R = det L = 1
+            for mid, r10, r11 in table.get((p10, neg(p00)), empty):
+                out.append(prefix + mid + (neg(add(mul(r10, p01), mul(r11, p11))),))
             return
         for x in codes:
             go(depth + 1, sub(mul(x, p00), p10), sub(mul(x, p01), p11), p00, p01, prefix + (x,))
 
     go(1, first, neg1, 1, 0, (first,))
     return out
-
-
-def _run_chunks(worker, firsts, workers: int):
-    if workers <= 1:
-        return [worker(f) for f in firsts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, firsts))
 
 
 def enumerate_friezes(
@@ -140,9 +150,9 @@ def enumerate_friezes(
 
     The catalog is one walk over the sorted solutions, which relies on the
     solution set being closed under rotation and reversal of rows, as the
-    frieze condition is.  The first unmarked solution is the smallest member
-    of its orbit; its orbit is built once and each member is marked at its
-    sorted position."""
+    frieze condition is.  The first solution still unmarked is the smallest
+    member of its orbit; its orbit is built once and each member is removed
+    from the unmarked set."""
     if width < 1:
         raise ValueError("enumeration needs width >= 1")
     if strategy not in ("naive", "mitm"):
@@ -154,32 +164,31 @@ def enumerate_friezes(
             f"estimated {work} matrix operations exceed budget {config.budget}"
         )
     start = time.perf_counter()
-    firsts = list(range(spec.q))
+    # chunks are concatenated in first-code order, each sorted, so this is sorted
+    solutions = []
     if strategy == "naive":
-        chunks = _run_chunks(lambda f: _naive_chunk(spec, n, f), firsts, config.workers)
+        for first in range(spec.q):
+            solutions += _naive_chunk(spec, n, first)
     else:
-        nl = (n + 1) // 2
-        table = _mitm_table(spec, n - nl)
-        chunks = _run_chunks(
-            lambda f: _mitm_chunk(spec, nl, f, table), firsts, config.workers
-        )
-
-    # chunks arrive in first-code order, each sorted, so this is sorted
-    solutions = [t for chunk in chunks for t in chunk]
-    del chunks
+        nl = n // 2
+        table = _mitm_table(spec, n - 1 - nl)
+        for first in range(spec.q):
+            solutions += _mitm_chunk(spec, nl, first, table)
+        del table
     total = len(solutions)
-    marked = bytearray(total)
+    unmarked = dict.fromkeys(solutions)
     orbits = []
-    for pos, t in enumerate(solutions):
-        if marked[pos]:
+    for t in solutions:
+        if t not in unmarked:
             continue
-        # every earlier member of t's orbit would have marked it: t is the
+        # every earlier member of t's orbit would have removed it: t is the
         # orbit's smallest member
         orbit = dihedral_orbit_codes(t)
         for member in orbit:
-            slot = bisect_left(solutions, member)
-            assert slot < total and solutions[slot] == member, "solutions not dihedral-closed"
-            marked[slot] = 1
+            try:
+                unmarked.pop(member)
+            except KeyError:
+                raise AssertionError("solutions not dihedral-closed") from None
         orbits.append((FirstRow.from_codes(spec, t), len(orbit)))
     tuples = solutions if total <= config.keep_tuples_below else None
     elapsed = time.perf_counter() - start

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from friezes.cli import main
 
 
@@ -65,6 +67,55 @@ def test_budget_env_not_an_integer(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error:") and "FRIEZES_BUDGET" in err
     assert "Traceback" not in err
+
+
+def test_budget_env_negative(capsys, monkeypatch):
+    monkeypatch.setenv("FRIEZES_BUDGET", "-1")
+    code, out, err = run(capsys, "count", "--field", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "FRIEZES_BUDGET" in err
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--workers", "0"], "--workers"),
+        (["--workers", "-3"], "--workers"),
+        (["--budget", "-1"], "--budget"),
+    ],
+)
+def test_out_of_range_global_flags(capsys, flags, name):
+    code, out, err = run(capsys, *flags, "enumerate", "--field", "2", "--width", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and name in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["verify", "--field", "3", "--which", "friezes", "--max-width", "0"], "--max-width"),
+        (["verify", "--field", "3", "--max-n", "1"], "--max-n"),
+        (["count", "--field", "3", "--max-width", "0"], "--max-width"),
+        (["count", "--field", "3", "--kind", "moduli", "--max-n", "-2"], "--max-n"),
+    ],
+)
+def test_empty_ranges_are_errors(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and name in err
+
+
+def test_smallest_ranges_still_run(capsys):
+    code, out, _ = run(capsys, "verify", "--field", "2", "--max-width", "1", "--max-n", "2")
+    assert code == 0
+    assert "w=1" in out and "n=2" in out
+    code, out, _ = run(capsys, "--budget", "0", "count", "--field", "2", "--max-width", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "1  3"
 
 
 def test_count_friezes_table(capsys):

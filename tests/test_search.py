@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 
@@ -15,6 +16,7 @@ from friezes import (
     matrix_criterion,
     verify_count_formula,
 )
+from friezes.formulas import count_friezes
 from friezes.frieze import dihedral_orbit_codes
 from friezes.search import enumeration_to_json_dict
 
@@ -62,6 +64,37 @@ def test_strategies_agree_small():
             assert a.total_count == b.total_count
             assert a.tuples == b.tuples
             assert a.orbits == b.orbits
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_strategies_match_brute_force(q):
+    # the strategies solve the last entries of a row; here every tuple is
+    # tested against the -Id criterion directly
+    spec = field_by_q(q)
+    elements = spec.elements()
+    zero_before_last = False
+    n = 4
+    while q**n <= 2 * 10**4:
+        expected = sorted(
+            tuple(e.code for e in row)
+            for row in itertools.product(elements, repeat=n)
+            if matrix_criterion(row)[0]
+        )
+        for strategy in ("naive", "mitm"):
+            assert enumerate_friezes(spec, n - 3, strategy).tuples == expected
+        zero_before_last = zero_before_last or any(row[-2] == 0 for row in expected)
+        n += 1
+    # rows with a_{n-1} = 0 are the completions of prefix products with p00 = 0
+    assert zero_before_last
+
+
+def test_strategies_agree_without_op_tables():
+    spec = FieldSpec(257)
+    naive = enumerate_friezes(spec, 1, "naive")
+    mitm = enumerate_friezes(spec, 1, "mitm")
+    assert naive.tuples == mitm.tuples
+    assert naive.orbits == mitm.orbits
+    assert naive.total_count == count_friezes(257, False, 1)
 
 
 def test_tuples_are_sorted_and_unique():
