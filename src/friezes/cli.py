@@ -34,7 +34,7 @@ def _parse_row(spec, text: str) -> FirstRow:
         codes = [int(c) for c in text.split(",")]
     except ValueError as exc:
         raise FriezeError(f"bad row {text!r}: entries are element codes") from exc
-    return FirstRow.from_codes(spec, codes)
+    return FirstRow.from_codes(spec, map(spec.checked_code, codes))
 
 
 def _emit(args, payload, text: str):
@@ -362,11 +362,10 @@ def _flag_error(args) -> str | None:
         return f"--workers must be >= 1, got {args.workers}"
     if args.budget is not None and args.budget < 0:
         return f"--budget must be >= 0, got {args.budget}"
-    if args.command in ("count", "verify"):
-        if args.max_width < 1:
-            return f"--max-width must be >= 1, got {args.max_width}"
-        if args.max_n < 2:
-            return f"--max-n must be >= 2, got {args.max_n}"
+    if args.command in ("count", "verify") and args.max_width < 1:
+        return f"--max-width must be >= 1, got {args.max_width}"
+    if args.command in ("count", "verify", "partitions") and args.max_n < 2:
+        return f"--max-n must be >= 2, got {args.max_n}"
     return None
 
 

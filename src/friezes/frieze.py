@@ -341,7 +341,7 @@ def parse_frieze_json(text: str) -> Frieze:
     """Rebuild a frieze from its JSON document and verify the stored rows."""
     doc = json.loads(text)
     spec = parse_field_descriptor(doc["field"])
-    row = FirstRow.from_codes(spec, doc["first_row"])
+    row = FirstRow.from_codes(spec, map(spec.checked_code, doc["first_row"]))
     if row.width != doc["width"]:
         raise ValueError("width inconsistent with first row length")
     built = frieze_from_first_row(row)

@@ -288,6 +288,13 @@ class FieldSpec:
         digits += [0] * (self.k - len(digits))
         return FieldElement(self, self._fold(digits))
 
+    def checked_code(self, code: int) -> int:
+        """An element code read from input, which must lie in 0..q-1.  Unlike
+        element(), it never reduces an int modulo p."""
+        if not isinstance(code, int) or not 0 <= code < self.q:
+            raise ValueError(f"code {code!r} out of range for GF({self.q})")
+        return code
+
     @property
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)

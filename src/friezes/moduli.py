@@ -14,7 +14,7 @@ coincide.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence
@@ -87,7 +87,7 @@ def parse_points(spec: FieldSpec, labels: Sequence[str]) -> Configuration:
         if lab == "inf":
             indices.append(spec.q)
         else:
-            indices.append(spec.element(int(lab)).code)
+            indices.append(spec.checked_code(int(lab)))
     return Configuration.from_indices(spec, indices)
 
 
@@ -129,15 +129,114 @@ def _check_budget(spec: FieldSpec, n: int, budget: int):
         )
 
 
+def _tail_tuples(q1: int, s: int) -> list:
+    """Every s-tuple of point indices, made once and shared by all tables:
+    a list of 1-tuples for s = 1, a matrix of pairs for s = 2."""
+    if s == 1:
+        return [(y,) for y in range(q1)]
+    return [[(y1, y2) for y2 in range(q1)] for y1 in range(q1)]
+
+
+def _unsigned_tails(q1: int, s: int) -> Callable[[int, int], list]:
+    """tails(l, f): the s-tuples (y_1..y_s) in lex order with y_1 != l,
+    consecutive entries distinct and y_s != f.
+
+    For s = 1 they are slices of one shared list of 1-tuples; for s = 2 each
+    (l, f) list is built on its first visit."""
+    shared = _tail_tuples(q1, s)
+    if s == 1:
+
+        def tails(l, f):
+            a, b = (l, f) if l < f else (f, l)
+            if a == b:
+                return shared[:a] + shared[a + 1 :]
+            return shared[:a] + shared[a + 1 : b] + shared[b + 1 :]
+
+        return tails
+    table = {}
+
+    def tails(l, f):
+        out = table.get((l, f))
+        if out is None:
+            out = table[l, f] = [
+                pair
+                for y1 in range(q1)
+                if y1 != l
+                for y2, pair in enumerate(shared[y1])
+                if y2 != y1 and y2 != f
+            ]
+        return out
+
+    return tails
+
+
+def _signed_tails(spec: FieldSpec, s: int, dets, idets) -> Callable[[int, int], dict]:
+    """tails(l, f): the tails of _unsigned_tails grouped by the ratio
+    podd/peven of the s + 1 edges they close (the edge from l, the edges
+    inside the tail, and the twisted edge D_n back to f), for even n.
+
+    Those edges have indices n - s - 1..n - 1, so their parities are fixed:
+    the twisted D_n is odd and contributes -det(y_s, f) = det(f, y_s) to the
+    denominator.  Each (l, f) dict is built on its first visit."""
+    mul = spec.mul_code
+    q1 = spec.q + 1
+    shared = _tail_tuples(q1, s)
+    table = {}
+
+    def tails(l, f):
+        out = table.get((l, f))
+        if out is None:
+            out = table[l, f] = defaultdict(list)
+            back = idets[f]
+            if s == 1:
+                into = dets[l]
+                for y in range(q1):
+                    if y != l and y != f:
+                        out[mul(into[y], back[y])].append(shared[y])
+            else:
+                into = idets[l]
+                for y1 in range(q1):
+                    if y1 == l:
+                        continue
+                    r1, inner, pairs = into[y1], dets[y1], shared[y1]
+                    for y2 in range(q1):
+                        if y2 != y1 and y2 != f:
+                            out[mul(mul(r1, inner[y2]), back[y2])].append(pairs[y2])
+        return out
+
+    return tails
+
+
 def configuration_index_tuples(
     spec: FieldSpec,
     n: int,
     sign_filter: str = "all",
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[tuple[int, ...]]:
-    """Stream the point-index tuples of C_n, optionally restricted to a sign
-    class.  This is the allocation-light path used by the orbit and counting
-    code; enumerate_configurations wraps it in Configuration objects."""
+    """Stream the point-index tuples of C_n in lexicographic order, optionally
+    restricted to a sign class.  This is the allocation-light path used by
+    the orbit and counting code; enumerate_configurations wraps it in
+    Configuration objects.
+
+    A loop over an explicit stack walks only the prefixes t_0..t_{m-1},
+    m = n - s, with consecutive points distinct; each prefix emits its tails
+    t_m..t_{n-1} from a table keyed by (last prefix point, first point) with
+    ``yield from map(prefix.__add__, tails)``, so no tuple is built and then
+    discarded.  s = 2 for n >= 5, where the tables hold at most (q+1)^2 q^2
+    tails, about |C_n|/q, all pointing into one shared matrix of pairs;
+    s = 1 for n <= 4, where unsigned tails are slices of one list of
+    1-tuples (a table keyed by (l, f) would be as large as C_3).  Every other
+    table is built on the first visit of its key.
+
+    A signed walk also carries u = target * r^-1, where r is the ratio
+    podd/peven of the prefix edges and target is 1 for plus and -1 for minus
+    (the same in characteristic 2).  The tails it keeps are those whose own
+    ratio is u: one lookup, no per-tuple product.
+
+    Prefixes are walked in lex order and each tail list is in lex order, so
+    the tuples come out in the same order as a lex-ordered product filtered
+    by cyclic adjacency and sign class.
+    """
     if sign_filter not in ("all", "plus", "minus"):
         raise ValueError(f"unknown sign filter {sign_filter!r}")
     if sign_filter != "all" and n % 2:
@@ -145,31 +244,39 @@ def configuration_index_tuples(
     if n < 2:
         raise ValueError("configurations need n >= 2")
     _check_budget(spec, n, budget)
-    q1 = spec.q + 1
-    dets = _det_table(spec) if sign_filter != "all" else None
-    neg = spec.neg_code
+    q = spec.q
+    s = 2 if n >= 5 else 1
+    m = n - s
+    down = range(q, -1, -1)  # children are pushed in reverse to pop in lex order
+    if sign_filter == "all":
+        tails = _unsigned_tails(q + 1, s)
+        stack = [(v,) for v in down]
+        while stack:
+            prefix = stack.pop()
+            last = prefix[-1]
+            if len(prefix) < m:
+                stack += [prefix + (v,) for v in down if v != last]
+            else:
+                yield from map(prefix.__add__, tails(last, prefix[0]))
+        return
 
-    def keep(tup: tuple[int, ...]) -> bool:
-        if sign_filter == "all":
-            return True
-        podd, peven = _sign_products(spec, dets, tup)
-        return podd == (peven if sign_filter == "plus" else neg(peven))
-
-    def rec(tup: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        i = len(tup)
-        if i == n:
-            if keep(tup):
-                yield tup
-            return
-        last = tup[-1]
-        first = tup[0]
-        for v in range(q1):
-            if v == last or (i == n - 1 and v == first):
-                continue
-            yield from rec(tup + (v,))
-
-    for v0 in range(q1):
-        yield from rec((v0,))
+    mul, inv = spec.mul_code, spec.inv_code
+    dets = _det_table(spec)
+    idets = [[inv(d) if d else 0 for d in row] for row in dets]
+    # u picks up det^-1 from even (odd-indexed, 1-based) edges and det from odd ones
+    u_factors = (idets, dets)
+    tails = _signed_tails(spec, s, dets, idets)
+    target = 1 if sign_filter == "plus" else spec.neg_code(1)
+    stack = [((v,), target) for v in down]
+    while stack:
+        prefix, u = stack.pop()
+        last = prefix[-1]
+        i = len(prefix)
+        if i < m:
+            row = u_factors[(i - 1) % 2][last]
+            stack += [(prefix + (v,), mul(u, row[v])) for v in down if v != last]
+        else:
+            yield from map(prefix.__add__, tails(last, prefix[0]).get(u, ()))
 
 
 def enumerate_configurations(
@@ -252,9 +359,7 @@ def pgl2_orbit_count(
     hashing: each tuple's orbit key is its lexicographically smallest image,
     computed in O(n) by sharp 3-transitivity (see _orbit_key_function)."""
     key = _orbit_key_function(spec)
-    counter: Counter[tuple[int, ...]] = Counter()
-    for tup in configuration_index_tuples(spec, n, sign_filter, budget):
-        counter[key(tup)] += 1
+    counter = Counter(map(key, configuration_index_tuples(spec, n, sign_filter, budget)))
     reps = sorted(counter)
     return OrbitSummary(
         spec,

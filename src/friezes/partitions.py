@@ -7,8 +7,10 @@ partition numbers to the configuration counts.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .errors import DEFAULT_BUDGET, NonIntegralResult
@@ -37,30 +39,68 @@ class CyclicPartition:
         )
 
 
-def _rgs_walk(n: int, k: int | None) -> Iterator[list[int]]:
-    """Restricted-growth strings of length n with b_i != b_{i-1} and
-    b_n != b_1, optionally with exactly k blocks.  Prunes on the adjacency
-    constraint and on block-count feasibility."""
-    assignment = [0] * n
+def _rgs_chunks(
+    n: int, k: int | None
+) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]], list[int]]]:
+    """The walk behind _rgs_walk: (prefix, tails, blocks) for every prefix in
+    lex order, where blocks[j] is the block count of prefix + tails[j]."""
+    if n < 2:
+        return
 
-    def rec(i: int, used: int) -> Iterator[list[int]]:
-        if i == n:
-            if (k is None or used == k) and assignment[n - 1] != 0:
-                yield assignment
-            return
+    def children(i, used, last):
+        """(b_i, blocks used through b_i) for every allowed b_i, in order."""
         if k is not None and used + (n - i) < k:
-            return
+            return []
         top = used if (k is None or used < k) else used - 1
-        for b in range(top + 1):
-            if b == assignment[i - 1]:
-                continue
-            if i == n - 1 and b == 0:
-                continue
-            assignment[i] = b
-            yield from rec(i + 1, max(used, b + 1))
+        return [
+            (b, max(used, b + 1))
+            for b in range(top + 1)
+            if b != last and (b or i < n - 1)
+        ]
 
-    if n >= 2:
-        yield from rec(1, 1)
+    def finish(i, used, last):
+        if i == n:
+            return [((), used)] if k is None or used == k else []
+        return [
+            ((b,) + rest, blocks)
+            for b, after in children(i, used, last)
+            for rest, blocks in finish(i + 1, after, b)
+        ]
+
+    m = max(1, n - 2)
+    table = {}
+    stack = [((0,), 1)]
+    while stack:
+        prefix, used = stack.pop()
+        last = prefix[-1]
+        if len(prefix) < m:
+            stack += [
+                (prefix + (b,), after)
+                for b, after in reversed(children(len(prefix), used, last))
+            ]
+            continue
+        entry = table.get((used, last))
+        if entry is None:
+            done = finish(m, used, last)
+            entry = table[used, last] = ([t for t, _ in done], [b for _, b in done])
+        yield prefix, entry[0], entry[1]
+
+
+def _rgs_walk(n: int, k: int | None) -> Iterator[tuple[int, ...]]:
+    """Restricted-growth strings of length n with b_i != b_{i-1} and
+    b_n != b_1, optionally with exactly k blocks, in lexicographic order.
+    Prunes on the adjacency constraint and on block-count feasibility.
+
+    A loop over an explicit stack (_rgs_chunks) walks only the prefixes
+    b_0..b_{m-1}, m = max(1, n - 2); each prefix emits the last n - m
+    positions from a table keyed by (blocks used, last block) with
+    ``yield from map(prefix.__add__, tails)``.  The tables are built on
+    first visit by the same rules as the walk, hold at most n^2 keys of at
+    most n^2 tails each, and list their tails in lex order, so the strings
+    come out in the same order as a lex-ordered product of restricted-growth
+    strings filtered by adjacency and block count."""
+    for prefix, tails, _ in _rgs_chunks(n, k):
+        yield from map(prefix.__add__, tails)
 
 
 def enumerate_cyclic_partitions(n: int, k: int) -> Iterator[CyclicPartition]:
@@ -82,11 +122,11 @@ def count_cyclic_partitions(n: int, k: int) -> int:
 
 def cyclic_partition_counts(n: int) -> list[int]:
     """Counts for every block count at once: entry k is the number of valid
-    partitions of the n-cycle into k blocks (one walk, no per-k reruns)."""
-    counts = [0] * (n + 1)
-    for assignment in _rgs_walk(n, None):
-        counts[max(assignment) + 1] += 1
-    return counts
+    partitions of the n-cycle into k blocks (one walk, no per-k reruns).
+    Every string of the walk adds its block count, read from the tail table
+    of its prefix, so the strings themselves are never built."""
+    tally = Counter(chain.from_iterable(b for _, _, b in _rgs_chunks(n, None)))
+    return [tally[k] for k in range(n + 1)]
 
 
 def a_kn_closed_form(k: int, n: int) -> int:
@@ -171,13 +211,8 @@ def verify_partition_identity(
     rhs = partition_identity_rhs(q, n, counts)
     lhs = count_configurations(q, n)
 
-    per_k = [0] * (n + 1)
-    for tup in configuration_index_tuples(spec, n, "all", budget):
-        seen: dict[int, int] = {}
-        for v in tup:
-            if v not in seen:
-                seen[v] = len(seen)
-        per_k[len(seen)] += 1
+    # the point-equality pattern of a tuple has len(set(tup)) blocks
+    per_k = Counter(map(len, map(set, configuration_index_tuples(spec, n, "all", budget))))
     per_block_ok = True
     for k in range(1, n + 1):
         ordered_choices = math.perm(q + 1, k)

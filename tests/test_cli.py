@@ -100,6 +100,7 @@ def test_out_of_range_global_flags(capsys, flags, name):
         (["verify", "--field", "3", "--max-n", "1"], "--max-n"),
         (["count", "--field", "3", "--max-width", "0"], "--max-width"),
         (["count", "--field", "3", "--kind", "moduli", "--max-n", "-2"], "--max-n"),
+        (["partitions", "--max-n", "1"], "--max-n"),
     ],
 )
 def test_empty_ranges_are_errors(capsys, argv, name):
@@ -109,6 +110,24 @@ def test_empty_ranges_are_errors(capsys, argv, name):
     assert err.startswith("error:") and name in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["print", "--field", "5", "--row", "6,1,1,6,1"],
+        ["print", "--field", "5", "--row=-1,1,1"],
+        ["map", "--field", "5", "--to", "config", "--row", "1,1,1,5"],
+        ["map", "--field", "5", "--to", "frieze", "--points", "0,7,inf"],
+        ["print", "--field", "2^2", "--row", "9,1,1,1,1"],
+        ["map", "--field", "2^2", "--to", "frieze", "--points", "0,4,1"],
+    ],
+)
+def test_codes_outside_the_field_are_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: code") and "out of range" in err
+
+
 def test_smallest_ranges_still_run(capsys):
     code, out, _ = run(capsys, "verify", "--field", "2", "--max-width", "1", "--max-n", "2")
     assert code == 0
@@ -116,6 +135,9 @@ def test_smallest_ranges_still_run(capsys):
     code, out, _ = run(capsys, "--budget", "0", "count", "--field", "2", "--max-width", "1")
     assert code == 0
     assert out.splitlines()[-1] == "1  3"
+    code, out, _ = run(capsys, "partitions", "--max-n", "2")
+    assert code == 0
+    assert out.splitlines() == ["n \\ k: 2..2", " 2  1"]
 
 
 def test_count_friezes_table(capsys):

@@ -215,6 +215,15 @@ def test_parse_json_rejects_tampered_rows():
         parse_frieze_json(json.dumps(doc))
 
 
+def test_parse_json_rejects_codes_outside_the_field():
+    # (3, 1, 1, 2, 2) over GF(2) used to be read as (1, 1, 1, 0, 0)
+    built = frieze_from_first_row(row(F2, (1, 1, 1, 0, 0)))
+    doc = frieze_to_json_dict(built)
+    doc["first_row"] = [3, 1, 1, 2, 2]
+    with pytest.raises(ValueError, match="out of range"):
+        parse_frieze_json(json.dumps(doc))
+
+
 def test_first_row_needs_three_entries():
     with pytest.raises(ValueError):
         FirstRow.from_codes(F2, (1, 1))

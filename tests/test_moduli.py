@@ -28,10 +28,16 @@ from friezes.formulas import (
     count_signed_configurations,
 )
 from friezes.gf import pgl2_point_permutations
-from friezes.moduli import configuration_index_tuples, orbit_of, parse_points
+from friezes.moduli import (
+    _det_table,
+    _sign_products,
+    configuration_index_tuples,
+    orbit_of,
+    parse_points,
+)
 from friezes.search import enumerate_friezes
 
-from helpers import field_by_q
+from helpers import PRIME_POWERS_LE_9, field_by_q
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -70,6 +76,43 @@ def test_signed_counts_match_recursion():
             plus = sum(1 for _ in configuration_index_tuples(spec, n, "plus"))
             minus = sum(1 for _ in configuration_index_tuples(spec, n, "minus"))
             assert (plus, minus) == expected
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_LE_9)
+def test_stream_matches_filtered_product(q):
+    # the stream walks a prefix and finishes it from tail tables; the
+    # reference is the lex-ordered product filtered tuple by tuple
+    spec = field_by_q(q)
+    dets = _det_table(spec)
+    n = 2
+    while (q + 1) ** n <= 2 * 10**5:
+        reference = [
+            t
+            for t in itertools.product(range(q + 1), repeat=n)
+            if all(t[i] != t[(i + 1) % n] for i in range(n))
+        ]
+        assert list(configuration_index_tuples(spec, n)) == reference
+        if n % 2 == 0:
+            products = [_sign_products(spec, dets, t) for t in reference]
+            for sign, other in (("plus", lambda p: p), ("minus", spec.neg_code)):
+                expected = [
+                    t for t, (podd, peven) in zip(reference, products)
+                    if podd == other(peven)
+                ]
+                assert list(configuration_index_tuples(spec, n, sign)) == expected
+        n += 1
+
+
+def test_stream_counts_on_large_fields():
+    # GF(64) n = 3 takes the shared-slice tails, GF(256) n = 2 the signed
+    # tables, each built only for the (last, first) keys visited
+    f64 = FieldSpec(2, 6)
+    got = sum(1 for _ in configuration_index_tuples(f64, 3))
+    assert got == count_configurations(64, 3)
+    f256 = FieldSpec(2, 8)
+    plus = sum(1 for _ in configuration_index_tuples(f256, 2, "plus"))
+    minus = sum(1 for _ in configuration_index_tuples(f256, 2, "minus"))
+    assert (plus, minus) == count_signed_configurations(256, True, 2)
 
 
 def test_sign_filter_requires_even_n():
@@ -310,6 +353,14 @@ def test_rescaling_class_members():
     assert all(m in cls for m in members)
     zero_cls = FirstRowClass.of(FirstRow.from_codes(F5, (0, 0, 0, 0)))
     assert len(zero_cls.members()) == 1
+
+
+def test_parse_points_rejects_codes_outside_the_field():
+    # prime fields used to reduce codes modulo p; every field now rejects them
+    for spec, label in ((F5, "7"), (F5, "5"), (F5, "-1"), (F4, "4"), (F4, "9")):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_points(spec, ["0", label, "inf"])
+    assert parse_points(F5, ["0", "4", "inf"]).indices == (0, 4, 5)
 
 
 def test_orbit_summary_json():

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from operator import ne
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from friezes import FieldSpec
 from friezes.formulas import count_configurations
 from friezes.partitions import (
     CyclicPartition,
+    _rgs_walk,
     a_kn_closed_form,
     count_cyclic_partitions,
     cyclic_partition_counts,
@@ -81,6 +84,44 @@ def test_closed_form_equals_brute_force_up_to_9():
         counts = cyclic_partition_counts(n)
         for k in range(2, n + 1):
             assert a_kn_closed_form(k, n) == counts[k]
+
+
+def _cyclic_rgs_brute_force(n):
+    """Every restricted-growth string of length n (b_0 = 0, each entry at
+    most one above the running maximum) with b_i != b_{i-1} and
+    b_{n-1} != b_0, in lex order, filtered from a product of ranges."""
+    out = []
+    for t in itertools.product(*(range(i + 1) for i in range(n))):
+        if t[-1] == t[0] or not all(map(ne, t, t[1:])):
+            continue
+        top = 0
+        for b in t:
+            if b > top + 1:
+                break
+            top = max(top, b)
+        else:
+            out.append(t)
+    return out
+
+
+def test_walk_matches_filtered_product():
+    for n in range(2, 11):
+        strings = _cyclic_rgs_brute_force(n)
+        for k in [None, *range(1, n + 1)]:
+            expected = [t for t in strings if k is None or len(set(t)) == k]
+            assert list(_rgs_walk(n, k)) == expected
+        blocks = [len(set(t)) for t in strings]
+        assert cyclic_partition_counts(n) == [blocks.count(k) for k in range(n + 1)]
+
+
+def test_walk_counts_for_eleven_and_twelve_points():
+    # rows recorded from the earlier recursive walk, which visited every string
+    assert cyclic_partition_counts(11) == [
+        0, 0, 0, 341, 7040, 27742, 36498, 20427, 5445, 715, 44, 1
+    ]
+    assert cyclic_partition_counts(12) == [
+        0, 0, 1, 682, 21461, 118008, 210232, 159060, 58542, 11165, 1111, 54, 1
+    ]
 
 
 def test_falling_factorial_basis_elements():
