@@ -1,8 +1,9 @@
 """Command line front end: enumerate, count, verify, map, print, partitions.
 
-Exit codes: 0 success, 1 invalid input, 2 work budget exceeded, 3 a
-verification found a mismatch.  The FRIEZES_BUDGET environment variable
-overrides the default work budget; --budget overrides both.
+Exit codes: 0 success, 1 invalid input (usage errors included), 2 work
+budget exceeded, 3 a verification found a mismatch.  The FRIEZES_BUDGET
+environment variable overrides the default work budget; --budget overrides
+both.
 """
 
 from __future__ import annotations
@@ -291,8 +292,16 @@ def cmd_partitions(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise FriezeError, so they exit 1 like any invalid input;
+    subparsers are built with the same class."""
+
+    def error(self, message):
+        raise FriezeError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="friezes",
         description="Tame friezes over finite fields: enumeration, closed-form "
         "counts, moduli-space orbits, and cross-checks.",
@@ -355,46 +364,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_error(args) -> str | None:
-    """The first flag outside its range, or None.  An empty --max-width or
-    --max-n range is an error, so that exit 0 always means something ran."""
+def _check_flags(args):
+    """Raise FriezeError at the first flag outside its range, and resolve the
+    budget from FRIEZES_BUDGET when --budget is absent.  An empty --max-width
+    or --max-n range is an error, so that exit 0 always means something ran."""
     if args.workers < 1:
-        return f"--workers must be >= 1, got {args.workers}"
+        raise FriezeError(f"--workers must be >= 1, got {args.workers}")
     if args.budget is not None and args.budget < 0:
-        return f"--budget must be >= 0, got {args.budget}"
+        raise FriezeError(f"--budget must be >= 0, got {args.budget}")
     if args.command in ("count", "verify") and args.max_width < 1:
-        return f"--max-width must be >= 1, got {args.max_width}"
+        raise FriezeError(f"--max-width must be >= 1, got {args.max_width}")
     if args.command in ("count", "verify", "partitions") and args.max_n < 2:
-        return f"--max-n must be >= 2, got {args.max_n}"
-    return None
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    problem = _flag_error(args)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_INPUT
+        raise FriezeError(f"--max-n must be >= 2, got {args.max_n}")
     if args.budget is None:
         env = os.environ.get("FRIEZES_BUDGET", str(DEFAULT_BUDGET))
         try:
             args.budget = int(env)
         except ValueError:
-            print(f"error: FRIEZES_BUDGET must be an integer, got {env!r}", file=sys.stderr)
-            return EXIT_INPUT
+            raise FriezeError(f"FRIEZES_BUDGET must be an integer, got {env!r}") from None
         if args.budget < 0:
-            print(f"error: FRIEZES_BUDGET must be >= 0, got {args.budget}", file=sys.stderr)
-            return EXIT_INPUT
+            raise FriezeError(f"FRIEZES_BUDGET must be >= 0, got {args.budget}")
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
+        args = build_parser().parse_args(argv)
+        _check_flags(args)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except FriezeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (FriezeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -26,6 +26,11 @@ M(x) = [[x, -1], [1, 0]].  Closed friezes satisfy the glide reflection
 which also encodes the (w+3)-periodicity; the convention was validated
 against the classical width-4 integer example before the golden tests were
 frozen.
+
+FirstRow and Frieze store element codes 0..q-1; FieldElements are built only
+where the API returns them (FirstRow.elements, Frieze.row, Frieze.entry).  The
+SL2 step P -> M(a) P of one row is row_products; search._prefix_products is
+the search's copy, stepping all prefixes at once.
 """
 
 from __future__ import annotations
@@ -39,35 +44,36 @@ from .gf import FieldElement, FieldSpec, Mat2, parse_field_descriptor
 
 @dataclass(frozen=True)
 class FirstRow:
-    """One period of the first row of a (candidate) frieze, n >= 3 entries."""
+    """One period of the first row of a (candidate) frieze: n >= 3 codes."""
 
     spec: FieldSpec
-    elements: tuple[FieldElement, ...]
+    codes: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.elements) < 3:
+        if len(self.codes) < 3:
             raise ValueError("a first row needs at least 3 entries")
-        if any(e.spec != self.spec for e in self.elements):
-            raise ValueError("row entries from a different field")
+        if not all(isinstance(c, int) and 0 <= c < self.spec.q for c in self.codes):
+            raise ValueError(f"codes {self.codes} out of range for GF({self.spec.q})")
 
     @classmethod
     def from_codes(cls, spec: FieldSpec, codes: Iterable[int]) -> "FirstRow":
-        return cls(spec, tuple(spec.element(c) for c in codes))
+        """Row from input values, each read by spec.element."""
+        return cls(spec, tuple(spec.element(c).code for c in codes))
 
     @property
     def n(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     @property
     def width(self) -> int:
-        return len(self.elements) - 3
+        return len(self.codes) - 3
 
     @property
-    def codes(self) -> tuple[int, ...]:
-        return tuple(e.code for e in self.elements)
+    def elements(self) -> tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.spec, c) for c in self.codes)
 
     def __str__(self):
-        return "(" + ",".join(str(e) for e in self.elements) + ")"
+        return "(" + ",".join(map(self.spec.element_str, self.codes)) + ")"
 
 
 @dataclass(frozen=True)
@@ -93,12 +99,12 @@ class Frieze:
     """A closed tame frieze: border rows plus w interior rows, one period wide.
 
     Stored rows run r = -1 (zeros), 0 (ones), 1..w (entries), w+1 (ones),
-    w+2 (zeros), each with n = w + 3 entries indexed by diagonal.
+    w+2 (zeros), each a tuple of n = w + 3 element codes indexed by diagonal.
     """
 
     __slots__ = ("spec", "width", "n", "first_row", "_rows")
 
-    def __init__(self, first_row: FirstRow, rows: dict[int, tuple[FieldElement, ...]]):
+    def __init__(self, first_row: FirstRow, rows: dict[int, tuple[int, ...]]):
         self.spec = first_row.spec
         self.n = first_row.n
         self.width = first_row.n - 3
@@ -110,22 +116,19 @@ class Frieze:
         return (-1, self.width + 2)
 
     def row(self, r: int) -> tuple[FieldElement, ...]:
-        return self._rows[r]
+        return tuple(FieldElement(self.spec, c) for c in self._rows[r])
 
     def entry(self, r: int, c: int) -> FieldElement:
-        return self._rows[r][c % self.n]
+        return FieldElement(self.spec, self._rows[r][c % self.n])
 
     def entry_code(self, r: int, c: int) -> int:
-        return self._rows[r][c % self.n].code
+        return self._rows[r][c % self.n]
 
     def __eq__(self, other):
         if not isinstance(other, Frieze):
             return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.width == other.width
-            and all(self._rows[r] == other._rows[r] for r in self._rows)
-        )
+        # the row dicts have keys -1..w+2, so equal rows mean equal widths
+        return self.spec == other.spec and self._rows == other._rows
 
     def __hash__(self):
         return hash((self.spec, self.first_row.codes))
@@ -159,10 +162,22 @@ class Frieze:
     def is_periodic(self) -> bool:
         """Horizontal (w+3)-periodicity of the stored representation."""
         return all(
-            self.entry(r, c + self.n) == self.entry(r, c)
+            self.entry_code(r, c + self.n) == self.entry_code(r, c)
             for r in range(-1, self.width + 3)
             for c in range(self.n)
         )
+
+
+def row_products(spec: FieldSpec, codes: Sequence[int]) -> list[tuple[int, ...]]:
+    """The products M(a_k) ... M(a_1), k = 1..len(codes), as code tuples
+    (p00, p01, p10, p11), by the step M(a) P = (a p00 - p10, a p01 - p11, p00, p01)."""
+    mul, sub = spec.mul_code, spec.sub_code
+    p00, p01, p10, p11 = 1, 0, 0, 1
+    out = []
+    for x in codes:
+        p00, p01, p10, p11 = sub(mul(x, p00), p10), sub(mul(x, p01), p11), p00, p01
+        out.append((p00, p01, p10, p11))
+    return out
 
 
 def matrix_criterion(row: FirstRow | Sequence[FieldElement]) -> tuple[bool, Mat2]:
@@ -170,43 +185,32 @@ def matrix_criterion(row: FirstRow | Sequence[FieldElement]) -> tuple[bool, Mat2
     for diagnostics.  Accepts any n >= 1 entries so partial products can be
     probed; a FirstRow enforces n >= 3 itself.
     """
-    elems = row.elements if isinstance(row, FirstRow) else tuple(row)
-    if not elems:
-        raise ValueError("need at least one entry")
-    spec = elems[0].spec
-    mul, sub = spec.mul_code, spec.sub_code
-    p00, p01, p10, p11 = 1, 0, 0, 1
-    for e in elems:
-        x = e.code
-        p00, p01, p10, p11 = sub(mul(x, p00), p10), sub(mul(x, p01), p11), p00, p01
-    product = Mat2.from_codes(spec, (p00, p01, p10, p11))
+    if isinstance(row, FirstRow):
+        spec, codes = row.spec, row.codes
+    else:
+        elems = tuple(row)
+        if not elems:
+            raise ValueError("need at least one entry")
+        spec, codes = elems[0].spec, [e.code for e in elems]
+    product = row_products(spec, codes)[-1]
     n1 = spec.neg_code(1)
-    return (p00, p01, p10, p11) == (n1, 0, 0, n1), product
+    return product == (n1, 0, 0, n1), Mat2.from_codes(spec, product)
 
 
 def frieze_from_first_row(row: FirstRow) -> Frieze | NotAFrieze:
     """Run the diagonal recursion from the row; accept iff the array closes
-    up (equivalently, iff the matrix criterion holds)."""
-    spec = row.spec
+    up (equivalently, iff the matrix criterion holds).  Diagonal c is the p00
+    column of row_products read from a_c."""
     codes = row.codes
     n = row.n
     w = n - 3
-    mul, sub = spec.mul_code, spec.sub_code
-    diagonals = []
-    for c in range(n):
-        diag = [0, 1]  # entry(-1, c), entry(0, c)
-        prev2, prev = 0, 1
-        for r in range(1, w + 3):
-            cur = sub(mul(codes[(c + r - 1) % n], prev), prev2)
-            diag.append(cur)
-            prev2, prev = prev, cur
-        diagonals.append(diag)
+    diagonals = [
+        [0, 1] + [p[0] for p in row_products(row.spec, (codes[c:] + codes[:c])[:-1])]
+        for c in range(n)
+    ]
     if any(d[w + 2] != 1 or d[w + 3] != 0 for d in diagonals):
         return NotAFrieze(row, matrix_criterion(row)[1])
-    rows = {
-        r: tuple(spec.element(diagonals[c][r + 1]) for c in range(n))
-        for r in range(-1, w + 3)
-    }
+    rows = {r: tuple(d[r + 1] for d in diagonals) for r in range(-1, w + 3)}
     return Frieze(row, rows)
 
 
@@ -300,7 +304,7 @@ def dihedral_canonical(row: FirstRow) -> tuple[FirstRow, int]:
     """Lexicographically minimal tuple in the dihedral orbit of the row
     (by element codes), together with the orbit size."""
     orbit = dihedral_orbit_codes(row.codes)
-    return FirstRow.from_codes(row.spec, min(orbit)), len(orbit)
+    return FirstRow(row.spec, min(orbit)), len(orbit)
 
 
 def render_frieze(f: Frieze, fmt: str = "text") -> str:
@@ -315,7 +319,8 @@ def render_frieze(f: Frieze, fmt: str = "text") -> str:
         raise ValueError(f"unknown format {fmt!r}")
     w, n = f.width, f.n
     cells = [
-        [str(f.entry(r, c)) for c in range(n - 1 - r)] for r in range(0, w + 2)
+        [f.spec.element_str(f.entry_code(r, c)) for c in range(n - 1 - r)]
+        for r in range(0, w + 2)
     ]
     cell_w = max(len(s) for line in cells for s in line)
     if (cell_w + 1) % 2:
@@ -333,7 +338,7 @@ def frieze_to_json_dict(f: Frieze) -> dict:
         "field": f.spec.descriptor,
         "width": f.width,
         "first_row": list(f.first_row.codes),
-        "rows": [[e.code for e in f.row(r)] for r in range(-1, f.width + 3)],
+        "rows": [list(f._rows[r]) for r in range(-1, f.width + 3)],
     }
 
 
@@ -347,7 +352,7 @@ def parse_frieze_json(text: str) -> Frieze:
     built = frieze_from_first_row(row)
     if isinstance(built, NotAFrieze):
         raise ValueError("first row does not generate a frieze")
-    rows = [[e.code for e in built.row(r)] for r in range(-1, built.width + 3)]
+    rows = [list(built._rows[r]) for r in range(-1, built.width + 3)]
     if rows != [list(map(int, r)) for r in doc["rows"]]:
         raise ValueError("stored rows disagree with the recursion")
     return built

@@ -10,6 +10,10 @@ and in the minus class when they differ by a sign.  The plus class is
 exactly where an equal-determinant antiperiodic lift exists, which is what
 the frieze correspondence needs.  In characteristic 2 the two classes
 coincide.
+
+A Configuration stores point indices 0..q and builds ProjPoints only in
+Configuration.points; frieze_to_configuration reads them off the SL2 step
+frieze.row_products.
 """
 
 from __future__ import annotations
@@ -27,50 +31,53 @@ from .errors import (
     OddN,
     OddNWithSignFilter,
 )
-from .frieze import FirstRow, matrix_criterion
+from .frieze import FirstRow, matrix_criterion, row_products
 from .gf import FieldElement, FieldSpec, ProjPoint, pgl2_point_permutations
 
 
 @dataclass(frozen=True)
 class Configuration:
-    """An n-tuple of points of P^1 with cyclically adjacent points distinct."""
+    """n point indices of P^1 (q is (1 : 0)), cyclically adjacent ones distinct."""
 
     spec: FieldSpec
-    points: tuple[ProjPoint, ...]
+    indices: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.points)
+        n = len(self.indices)
         if n < 2:
             raise ValueError("a configuration needs at least 2 points")
-        if any(p.spec != self.spec for p in self.points):
-            raise ValueError("points from a different field")
+        q = self.spec.q
+        if not all(isinstance(i, int) and 0 <= i <= q for i in self.indices):
+            raise ValueError(f"point indices {self.indices} out of range 0..{q}")
         for i in range(n):
-            if self.points[i] == self.points[(i + 1) % n]:
+            if self.indices[i] == self.indices[(i + 1) % n]:
                 raise ValueError(
                     f"cyclically consecutive points {i} and {(i + 1) % n} coincide"
                 )
 
     @classmethod
     def from_indices(cls, spec: FieldSpec, indices: Sequence[int]) -> "Configuration":
-        return cls(spec, tuple(ProjPoint.from_index(spec, i) for i in indices))
+        return cls(spec, tuple(indices))
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.indices)
 
     @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(p.index for p in self.points)
+    def points(self) -> tuple[ProjPoint, ...]:
+        return tuple(ProjPoint.from_index(self.spec, i) for i in self.indices)
 
     def labels(self) -> list[str]:
         """Serialized points: the element code of a for (a : 1), "inf" for (1 : 0).
 
         parse_points is the inverse.
         """
-        return ["inf" if p.is_infinity else str(p.x) for p in self.points]
+        q = self.spec.q
+        return ["inf" if i == q else str(i) for i in self.indices]
 
     def __str__(self):
-        return "(" + ",".join(str(p) for p in self.points) + ")"
+        q, name = self.spec.q, self.spec.element_str
+        return "(" + ",".join("inf" if i == q else name(i) for i in self.indices) + ")"
 
 
 class SignClass(Enum):
@@ -396,7 +403,6 @@ class Lift:
     det_value: FieldElement
 
     def consecutive_determinants(self) -> list[FieldElement]:
-        spec = self.spec
         n = len(self.vectors)
         out = []
         for i in range(n):
@@ -477,8 +483,7 @@ class FirstRowClass:
         codes = row.codes
         if len(codes) % 2:
             raise OddN("rescaling classes only exist for even n")
-        best = min(cls._member_codes(spec, codes))
-        return cls(FirstRow.from_codes(spec, best))
+        return cls(FirstRow(spec, min(cls._member_codes(spec, codes))))
 
     @staticmethod
     def _member_codes(spec: FieldSpec, codes: tuple[int, ...]):
@@ -492,7 +497,7 @@ class FirstRowClass:
     def members(self) -> list[FirstRow]:
         spec = self.rep.spec
         return [
-            FirstRow.from_codes(spec, codes)
+            FirstRow(spec, codes)
             for codes in sorted(set(self._member_codes(spec, self.rep.codes)))
         ]
 
@@ -524,7 +529,7 @@ def configuration_to_frieze(config: Configuration) -> FirstRow | FirstRowClass:
         assert v[0] == a * v_prev[0] - v_prev2[0]
         assert v[1] == a * v_prev[1] - v_prev2[1]
         codes.append(a.code)
-    row = FirstRow.from_codes(spec, codes)
+    row = FirstRow(spec, tuple(codes))
     ok, _ = matrix_criterion(row)
     assert ok, "lift coefficients must satisfy the matrix criterion"
     if n % 2:
@@ -536,25 +541,21 @@ def frieze_to_configuration(row: FirstRow) -> Configuration:
     """The configuration of the vector sequence V_i = a_i V_{i-1} - V_{i-2}
     seeded with V_{-1} = (-1, 0), V_0 = (0, 1), projected to P^1.
 
-    The components of the V_i run along the first two diagonals of the
-    frieze.  Requires the matrix criterion; the result is in C_n, and in the
-    plus class when n is even.
+    V_k = (-p01, p00) for the k-th product of row_products, so the V_i run
+    along the first two diagonals of the frieze.  Requires the matrix
+    criterion; the result is in C_n, and in the plus class when n is even.
     """
     ok, product = matrix_criterion(row)
     if not ok:
         raise CriterionFails(f"row {row} has product {product!r} != -Id")
     spec = row.spec
-    one = spec.one
-    prev2 = (-one, spec.zero)  # V_{-1}
-    prev = (spec.zero, one)  # V_0
-    vectors = []
-    for a in row.elements:
-        cur = (a * prev[0] - prev2[0], a * prev[1] - prev2[1])
-        vectors.append(cur)
-        prev2, prev = prev, cur
-    assert vectors[-1] == (spec.zero, -one)  # V_n = -V_0, forced by -Id
-    points = tuple(ProjPoint(x, y) for x, y in vectors)
-    return Configuration(spec, points)
+    mul, neg, inv = spec.mul_code, spec.neg_code, spec.inv_code
+    # (x : y) has index x/y when y != 0; y = p00 = 0 is the point at infinity
+    indices = tuple(
+        mul(neg(p01), inv(p00)) if p00 else spec.q
+        for p00, p01, _, _ in row_products(spec, row.codes)
+    )
+    return Configuration(spec, indices)
 
 
 def orbit_of(config: Configuration) -> tuple[int, ...]:

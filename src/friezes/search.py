@@ -17,6 +17,10 @@ entries of a row follow from the others.  Two strategies:
          (l10, -l00) and every entry of its bucket fixes a_n, so the work is
          q^nl left leaves plus the q^nr table.
 
+Both walk prefixes with _prefix_products, the search's copy of the SL2 step
+(frieze.row_products is the single-row one).  Rows stay code tuples; only
+orbit representatives become FirstRows.
+
 Both return identical, lexicographically sorted results, with the chunks of
 each first code concatenated in code order.  The search runs in one thread.
 """
@@ -66,31 +70,38 @@ def _estimated_work(q: int, n: int, strategy: str) -> int:
     return 2 * (q**nl + q ** (n - nl))
 
 
+def _prefix_products(spec: FieldSpec, length: int, firsts) -> list[tuple]:
+    """Every prefix (a_1, ..., a_length) with a_1 in firsts, in lex order, as
+    (prefix, p00, p01, p10, p11) with P = M(a_length)...M(a_1): a flat walk
+    that steps P -> M(a) P for a whole level at a time."""
+    mul, sub = spec.mul_code, spec.sub_code
+    codes = range(spec.q)
+    neg1 = spec.neg_code(1)
+    level = [((x,), x, neg1, 1, 0) for x in firsts]
+    for _ in range(length - 1):
+        level = [
+            (prefix + (x,), sub(mul(x, p00), p10), sub(mul(x, p01), p11), p00, p01)
+            for prefix, p00, p01, p10, p11 in level
+            for x in codes
+        ]
+    return level
+
+
 def _naive_chunk(spec: FieldSpec, n: int, first: int) -> list[tuple[int, ...]]:
     """Rows with a_1 = first, in lex order: a_2..a_{n-3} are scanned and the
     last three entries solved from the prefix product."""
-    mul, add, sub, neg, inv = (
-        spec.mul_code, spec.add_code, spec.sub_code, spec.neg_code, spec.inv_code
-    )
+    mul, add, sub, inv = spec.mul_code, spec.add_code, spec.sub_code, spec.inv_code
     codes = range(spec.q)
-    neg1 = neg(1)
+    neg1 = spec.neg_code(1)
     out = []
-
-    def go(depth, p00, p01, p10, p11, prefix):
-        if depth == n - 3:
-            # M(z) M(p00) M(y) = -P^(-1) = [[-p11, p01], [p10, -p00]] needs
-            # y p00 = 1 + p10 and gives z = p11 - y p01; det P = 1 does the rest
-            if p00:
-                y = mul(add(1, p10), inv(p00))
-                out.append(prefix + (y, p00, sub(p11, mul(y, p01))))
-            elif p10 == neg1:
-                for y in codes:
-                    out.append(prefix + (y, 0, sub(p11, mul(y, p01))))
-            return
-        for x in codes:
-            go(depth + 1, sub(mul(x, p00), p10), sub(mul(x, p01), p11), p00, p01, prefix + (x,))
-
-    go(1, first, neg1, 1, 0, (first,))
+    for prefix, p00, p01, p10, p11 in _prefix_products(spec, n - 3, (first,)):
+        # M(z) M(p00) M(y) = -P^(-1) = [[-p11, p01], [p10, -p00]] needs
+        # y p00 = 1 + p10 and gives z = p11 - y p01; det P = 1 does the rest
+        if p00:
+            y = mul(add(1, p10), inv(p00))
+            out.append(prefix + (y, p00, sub(p11, mul(y, p01))))
+        elif p10 == neg1:
+            out += [prefix + (y, 0, sub(p11, mul(y, p01))) for y in codes]
     return out
 
 
@@ -98,43 +109,23 @@ def _mitm_table(spec: FieldSpec, nr: int):
     """Middle products R = M(a_{n-1})...M(a_{nl+1}) keyed by R's first row
     (r00, r01).  Each bucket lists (mid, r10, r11) with mid = (a_{nl+1}, ...,
     a_{n-1}), in lex order of mid."""
-    mul, sub, neg = spec.mul_code, spec.sub_code, spec.neg_code
-    codes = range(spec.q)
-    neg1 = neg(1)
     table = defaultdict(list)
-
-    def go(depth, r00, r01, r10, r11, mid):
-        if depth == nr:
-            table[(r00, r01)].append((mid, r10, r11))
-            return
-        for x in codes:
-            go(depth + 1, sub(mul(x, r00), r10), sub(mul(x, r01), r11), r00, r01, mid + (x,))
-
-    for x in codes:
-        go(1, x, neg1, 1, 0, (x,))
+    for mid, r00, r01, r10, r11 in _prefix_products(spec, nr, range(spec.q)):
+        table[(r00, r01)].append((mid, r10, r11))
     return dict(table)
 
 
 def _mitm_chunk(spec: FieldSpec, nl: int, first: int, table) -> list[tuple[int, ...]]:
     """Rows with a_1 = first, in lex order: each left product L is completed
     by the table bucket at R's forced first row, and a_n is solved."""
-    mul, add, sub, neg = spec.mul_code, spec.add_code, spec.sub_code, spec.neg_code
-    codes = range(spec.q)
-    neg1 = neg(1)
+    mul, add, neg = spec.mul_code, spec.add_code, spec.neg_code
     out = []
     empty = ()
-
-    def go(depth, p00, p01, p10, p11, prefix):
-        if depth == nl:
-            # R L = [[0, -1], [1, -a_n]]: R's first row is (p10, -p00), the
-            # (1, 0) entry follows from det R = det L = 1
-            for mid, r10, r11 in table.get((p10, neg(p00)), empty):
-                out.append(prefix + mid + (neg(add(mul(r10, p01), mul(r11, p11))),))
-            return
-        for x in codes:
-            go(depth + 1, sub(mul(x, p00), p10), sub(mul(x, p01), p11), p00, p01, prefix + (x,))
-
-    go(1, first, neg1, 1, 0, (first,))
+    for prefix, p00, p01, p10, p11 in _prefix_products(spec, nl, (first,)):
+        # R L = [[0, -1], [1, -a_n]]: R's first row is (p10, -p00), the
+        # (1, 0) entry follows from det R = det L = 1
+        for mid, r10, r11 in table.get((p10, neg(p00)), empty):
+            out.append(prefix + mid + (neg(add(mul(r10, p01), mul(r11, p11))),))
     return out
 
 
@@ -189,7 +180,7 @@ def enumerate_friezes(
                 unmarked.pop(member)
             except KeyError:
                 raise AssertionError("solutions not dihedral-closed") from None
-        orbits.append((FirstRow.from_codes(spec, t), len(orbit)))
+        orbits.append((FirstRow(spec, t), len(orbit)))
     tuples = solutions if total <= config.keep_tuples_below else None
     elapsed = time.perf_counter() - start
     return EnumerationResult(spec, width, total, orbits, elapsed, strategy, tuples)

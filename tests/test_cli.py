@@ -259,3 +259,27 @@ def test_json_outputs_are_valid_json(capsys):
         out = capsys.readouterr().out
         assert code == 0
         json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["print", "--field", "5"],
+        ["print", "--field", "5", "--row", "-1,1,1"],
+        ["count", "--field", "5", "--max-n", "x"],
+        ["bogus"],
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["print", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

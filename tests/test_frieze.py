@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from friezes import (
+    FieldElement,
     FieldSpec,
     FirstRow,
+    Mat2,
     NotAFrieze,
     check_tame,
     dihedral_canonical,
@@ -16,7 +18,7 @@ from friezes import (
     parse_frieze_json,
     render_frieze,
 )
-from friezes.frieze import dihedral_orbit_codes, frieze_to_json_dict
+from friezes.frieze import dihedral_orbit_codes, frieze_to_json_dict, row_products
 
 from helpers import field_by_q
 
@@ -227,3 +229,51 @@ def test_parse_json_rejects_codes_outside_the_field():
 def test_first_row_needs_three_entries():
     with pytest.raises(ValueError):
         FirstRow.from_codes(F2, (1, 1))
+
+
+def test_row_products_match_a_matrix_fold():
+    for spec in (F2, F3, F4):
+        n1 = spec.neg_code(1)
+        for length in range(1, 6):
+            for codes in itertools.product(range(spec.q), repeat=length):
+                product, expected = Mat2.identity(spec), []
+                for x in codes:
+                    product = Mat2.from_codes(spec, (x, n1, 1, 0)) @ product
+                    expected.append(product.codes)
+                assert row_products(spec, codes) == expected
+
+
+def test_first_row_rejects_codes_outside_the_field():
+    for spec, codes in ((F5, (5, 1, 1)), (F5, (-1, 1, 1)), (F4, (4, 0, 0))):
+        with pytest.raises(ValueError, match="out of range"):
+            FirstRow(spec, codes)
+    with pytest.raises(ValueError, match="out of range"):
+        FirstRow(F5, (F5.one, F5.one, F5.one))
+    # from_codes keeps spec.element's rule: ints are reduced mod p in a prime
+    # field and range-checked in an extension
+    assert FirstRow.from_codes(F5, (6, 1, 1)).codes == (1, 1, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        FirstRow.from_codes(F4, (4, 1, 1))
+
+
+def test_code_rows_wrap_into_field_elements():
+    # the element-valued API returns what the FieldElement recursion gives
+    for spec in (F2, F3, F4, F5):
+        for w in (1, 2):
+            for codes in itertools.product(range(spec.q), repeat=w + 3):
+                first = FirstRow(spec, codes)
+                built = frieze_from_first_row(first)
+                if isinstance(built, NotAFrieze):
+                    continue
+                elems = tuple(spec.element(c) for c in codes)
+                assert first.elements == elems
+                n = len(codes)
+                for c in range(n):
+                    prev2, prev = spec.zero, spec.one
+                    for r in range(1, w + 3):
+                        prev2, prev = prev, elems[(c + r - 1) % n] * prev - prev2
+                        assert built.entry(r, c) == built.entry(r, c + n) == prev
+                        assert built.entry_code(r, c) == prev.code
+                for r in range(-1, w + 3):
+                    assert built.row(r) == tuple(built.entry(r, c) for c in range(n))
+                    assert all(isinstance(e, FieldElement) for e in built.row(r))

@@ -10,6 +10,7 @@ from friezes import (
     FirstRowClass,
     NotLiftable,
     OddN,
+    ProjPoint,
     SignClass,
     configuration_to_frieze,
     enumerate_configurations,
@@ -381,3 +382,31 @@ def test_configuration_labels_round_trip():
     assert cfg.labels() == ["0", "2", "inf", "1"]
     assert str(cfg) == "(0,a,inf,1)"
     assert parse_points(F4, cfg.labels()).indices == (0, 2, 4, 1)
+
+
+def test_configuration_rejects_indices_outside_the_line():
+    for spec, indices in ((F5, (0, 6)), (F5, (-1, 0)), (F4, (0, 5, 1))):
+        with pytest.raises(ValueError, match="out of range"):
+            Configuration(spec, indices)
+    with pytest.raises(ValueError, match="out of range"):
+        Configuration(F5, (ProjPoint.from_index(F5, 0), ProjPoint.from_index(F5, 1)))
+    points = Configuration(F5, (2, 5)).points
+    assert points == (ProjPoint(F5.element(2), F5.one), ProjPoint(F5.one, F5.zero))
+    assert [str(p) for p in points] == ["2", "inf"]
+
+
+def test_frieze_points_match_the_vector_recursion():
+    # V_i = a_i V_{i-1} - V_{i-2} from V_{-1} = (-1, 0), V_0 = (0, 1), in
+    # FieldElement arithmetic, projected by ProjPoint
+    for spec in (F2, F3, F4, F5):
+        for w in (1, 2, 3):
+            for t in enumerate_friezes(spec, w).tuples:
+                one, zero = spec.one, spec.zero
+                prev2, prev, points = (-one, zero), (zero, one), []
+                for a in map(spec.element, t):
+                    cur = (a * prev[0] - prev2[0], a * prev[1] - prev2[1])
+                    points.append(ProjPoint(*cur))
+                    prev2, prev = prev, cur
+                cfg = frieze_to_configuration(FirstRow(spec, t))
+                assert cfg.points == tuple(points)
+                assert cfg.indices == tuple(p.index for p in points)

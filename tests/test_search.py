@@ -17,8 +17,8 @@ from friezes import (
     verify_count_formula,
 )
 from friezes.formulas import count_friezes
-from friezes.frieze import dihedral_orbit_codes
-from friezes.search import enumeration_to_json_dict
+from friezes.frieze import dihedral_orbit_codes, row_products
+from friezes.search import _prefix_products, enumeration_to_json_dict
 
 from helpers import field_by_q
 
@@ -217,3 +217,17 @@ def test_jacobsthal_recursion_small():
     counts = {w: enumerate_friezes(F2, w).total_count for w in range(1, 6)}
     for w in range(3, 6):
         assert counts[w] == counts[w - 1] + 2 * counts[w - 2]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_prefix_products_match_row_products(q):
+    # states and order: the lex product of prefixes, each with its product
+    spec = field_by_q(q)
+    for length in range(1, 5):
+        prefixes = list(itertools.product(range(q), repeat=length))
+        expected = [(t, *row_products(spec, t)[-1]) for t in prefixes]
+        assert _prefix_products(spec, length, range(q)) == expected
+        first = q - 1
+        assert _prefix_products(spec, length, (first,)) == [
+            state for state in expected if state[0][0] == first
+        ]
