@@ -386,9 +386,15 @@ def _check_flags(args):
             raise FriezeError(f"FRIEZES_BUDGET must be >= 0, got {args.budget}")
 
 
+_parser = None
+
+
 def main(argv: list[str] | None = None) -> int:
+    global _parser
     try:
-        args = build_parser().parse_args(argv)
+        if _parser is None:
+            _parser = build_parser()  # on first use: importing the module stays cheap
+        args = _parser.parse_args(argv)
         _check_flags(args)
         return args.func(args)
     except BudgetExceeded as exc:

@@ -100,6 +100,8 @@ class Frieze:
 
     Stored rows run r = -1 (zeros), 0 (ones), 1..w (entries), w+1 (ones),
     w+2 (zeros), each a tuple of n = w + 3 element codes indexed by diagonal.
+    Columns are read mod n, so the (w+3)-periodicity is a property of the
+    storage, not one that can be checked on it.
     """
 
     __slots__ = ("spec", "width", "n", "first_row", "_rows")
@@ -158,14 +160,6 @@ class Frieze:
                 if self.entry_code(r, c) != self.entry_code(w + 1 - r, c + r + 1):
                     return False
         return True
-
-    def is_periodic(self) -> bool:
-        """Horizontal (w+3)-periodicity of the stored representation."""
-        return all(
-            self.entry_code(r, c + self.n) == self.entry_code(r, c)
-            for r in range(-1, self.width + 3)
-            for c in range(self.n)
-        )
 
 
 def row_products(spec: FieldSpec, codes: Sequence[int]) -> list[tuple[int, ...]]:

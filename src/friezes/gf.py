@@ -6,7 +6,9 @@ the element (constant term first) read as a base-p integer.  Code 0 is zero
 and code 1 is one, so the code order is a stable element enumeration that
 doubles as the serialization format.  Fields with at most TABLE_LIMIT
 elements precompute full operation tables at construction; larger fields
-reduce polynomials on the fly.
+reduce polynomials on the fly.  The tables of GF(p^k) are built from the
+powers of a primitive element, not from q^2 polynomial products; codes and
+table values are those of the raw operations.
 """
 
 from __future__ import annotations
@@ -204,28 +206,40 @@ class FieldSpec:
                     prod[i + j] = (prod[i + j] + x * y) % self.p
         return self._fold(_poly_rem(prod, self.modulus, self.p))
 
-    def _pow_raw(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul_raw(result, base)
-            base = self._mul_raw(base, base)
-            e >>= 1
-        return result
-
     def _build_tables(self):
+        """Op tables with no polynomial multiply per pair, equal to the raw ops.
+
+        In GF(p^k), add[a][b] = add_p[a0][b0] + p add[a'][b'] with code
+        a = a0 + p a', from the table of one degree less.  The powers of the
+        smallest code g >= 2 of order q - 1 give exp, stored twice over so
+        that a b = exp[log a + log b] needs no reduction.
+        """
         q, p = self.q, self.p
-        if self.k > 1:
+        add = [[(a + b) % p for b in range(p)] for a in range(p)]
+        if self.k == 1:
+            self._mul = [[a * b % p for b in range(p)] for a in range(p)]
+            self._inv = [None] + [pow(a, p - 2, p) for a in range(1, p)]
+        else:
             self._digit_cache = [self._digits(c) for c in range(q)]
-        self._add = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
-        self._neg = [self._neg_raw(a) for a in range(q)]
-        self._sub = [[self._add[a][self._neg[b]] for b in range(q)] for a in range(q)]
-        self._mul = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
-        inv = [None] * q
-        for a in range(1, q):
-            inv[a] = self._pow_raw(a, q - 2)
-        self._inv = inv
+            add_p = add
+            for _ in range(self.k - 1):
+                scaled = [[p * y for y in row] for row in add]
+                add = [[x + y for y in high for x in low] for high in scaled for low in add_p]
+            for g in range(2, q):
+                exp, x = [1], g
+                while x != 1:
+                    exp.append(x)
+                    x = self._mul_raw(x, g)
+                if len(exp) == q - 1:
+                    break
+            log = {x: i for i, x in enumerate(exp)}
+            logs = [log[a] for a in range(1, q)]
+            exp += exp
+            self._mul = [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
+            self._inv = [None] + [exp[q - 1 - i] for i in logs]
+        self._add = add
+        self._neg = [row.index(0) for row in add]
+        self._sub = [[row[b] for b in self._neg] for row in add]
 
     # -- public code ops -----------------------------------------------
 
@@ -249,7 +263,7 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         t = self._inv
-        return t[a] if t is not None else self._pow_raw(a, self.q - 2)
+        return t[a] if t is not None else self.pow_code(a, self.q - 2)
 
     def pow_code(self, a: int, e: int) -> int:
         if e < 0:

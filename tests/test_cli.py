@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import friezes
 from friezes.cli import main
 
 
@@ -283,3 +288,26 @@ def test_help_still_exits_0(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_repeated_calls_match_fresh_processes(capsys, monkeypatch):
+    # main() reuses one parser per process; no call may see state left by another
+    argvs = [
+        ["--format", "json", "count", "--field", "3", "--max-width", "3"],
+        ["print", "--field", "5", "--row", "1,1,1"],
+        ["--format", "json", "count", "--field", "5", "--max-n", "x"],
+        ["count", "--field", "3", "--max-width", "3"],
+        ["enumerate", "--field", "2", "--width", "3", "--strategy", "naive"],
+        ["enumerate", "--field", "2", "--width", "3"],
+    ]
+    monkeypatch.delenv("FRIEZES_BUDGET", raising=False)
+    src = str(Path(friezes.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    codes = []
+    for argv in argvs:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "friezes", *argv], capture_output=True, text=True, env=env
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(fresh.returncode)
+    assert codes == [0, 0, 1, 0, 0, 0]

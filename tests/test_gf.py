@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -201,3 +202,35 @@ def test_spec_equality_is_structural():
     a = FieldSpec(3).element(2)
     b = FieldSpec(3).element(2)
     assert a == b and hash(a) == hash(b)
+
+
+def _prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    k = 1
+    while p**k < q:
+        k += 1
+    return (p, k) if p**k == q else None
+
+
+@pytest.mark.parametrize(
+    "q, samples",
+    [(q, None) for q in range(2, 82) if _prime_power(q)]
+    + [(128, 2000), (169, 2000), (243, 2000), (256, 2000)],
+)
+def test_op_tables_match_raw_arithmetic(q, samples):
+    # the tables come from a primitive element and digit blocks; the raw
+    # polynomial operations are the reference
+    spec = FieldSpec(*_prime_power(q))
+    codes = range(q)
+    if samples is None:
+        pairs = itertools.product(codes, codes)
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(samples)]
+    for a, b in pairs:
+        assert spec._add[a][b] == spec._add_raw(a, b)
+        assert spec._sub[a][b] == spec._add_raw(a, spec._neg_raw(b))
+        assert spec._mul[a][b] == spec._mul_raw(a, b)
+    assert spec._neg == [spec._neg_raw(a) for a in codes]
+    assert spec._inv[0] is None
+    assert all(spec._mul_raw(a, spec._inv[a]) == 1 for a in range(1, q))
