@@ -13,6 +13,7 @@ table values are those of the raw operations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Sequence
 
@@ -86,9 +87,10 @@ def _default_modulus(p: int, k: int) -> tuple[int, ...]:
 class FieldSpec:
     """The finite field GF(p^k) with a fixed element order and op tables.
 
-    Immutable after construction; safe to share between threads.  All
-    low-level arithmetic is exposed on integer codes (``add_code`` and
-    friends); ``element`` wraps a code into a :class:`FieldElement`.
+    Immutable after construction, apart from caches filled on use; safe to
+    share between threads.  All low-level arithmetic is exposed on integer
+    codes (``add_code`` and friends); ``element`` wraps a code into a
+    :class:`FieldElement`.
     """
 
     __slots__ = (
@@ -104,6 +106,7 @@ class FieldSpec:
         "_inv",
         "_pgl2",
         "_p1_perms",
+        "_orbit_perms",
     )
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
@@ -136,6 +139,7 @@ class FieldSpec:
         self._add = self._sub = self._mul = self._neg = self._inv = None
         self._pgl2 = None
         self._p1_perms = None
+        self._orbit_perms = {}  # ordered triple -> point permutation, see moduli
         if self.q <= TABLE_LIMIT:
             self._build_tables()
 
@@ -620,7 +624,8 @@ def pgl2_elements(spec: FieldSpec) -> tuple[Mat2, ...]:
 
 def pgl2_point_permutations(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
     """For each PGL2 representative, its action on P^1 as a permutation of
-    point indices (aligned with the order of pgl2_elements)."""
+    point indices (aligned with the order of pgl2_elements): the O(q^4)
+    group-scan oracle of the tests, which the orbit keys no longer use."""
     if spec._p1_perms is not None:
         return spec._p1_perms
     q = spec.q
@@ -640,10 +645,13 @@ def pgl2_point_permutations(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
     return spec._p1_perms
 
 
+@functools.lru_cache(maxsize=32)
 def parse_field_descriptor(text: str) -> FieldSpec:
     """Build a FieldSpec from a descriptor like "5", "2^2" or "2^2:1,1,1".
 
     The optional modulus suffix lists coefficients constant term first.
+    Results are shared per process, at most 32 of them (GF(256) holds about
+    1.6 MiB of tables); a bad descriptor raises on every call.
     """
     text = text.strip()
     body, _, mod_part = text.partition(":")

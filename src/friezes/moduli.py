@@ -32,7 +32,8 @@ from .errors import (
     OddNWithSignFilter,
 )
 from .frieze import FirstRow, matrix_criterion, row_products
-from .gf import FieldElement, FieldSpec, ProjPoint, pgl2_point_permutations
+from .gf import FieldElement, FieldSpec, ProjPoint
+from .gf import pgl2_point_permutations  # unused here; perfbench/spans.py wraps it
 
 
 @dataclass(frozen=True)
@@ -337,19 +338,43 @@ def _orbit_key_function(spec: FieldSpec) -> Callable[[tuple[int, ...]], tuple[in
     differ, so the smallest image of t starts (0, 1) and sends the first
     point outside {t[0], t[1]} to 2: it is the image of t under the unique
     element taking t[0], t[1] and that point to the indices 0, 1, 2.  A tuple
-    with only two distinct points maps to its 0/1 pattern.  Each key costs
-    O(n) once the table from ordered triples to permutations is built.
+    with only two distinct points maps to its 0/1 pattern.
+
+    With v_i the canonical vector of point i, the Möbius map
+    h(v) = (det(v_b, v_c) det(v, v_a) : det(v_b, v_a) det(v, v_c)) sends
+    a, b, c to 0, 1, inf, and k = [[z, 0], [1, z - 1]] sends 0, 1, inf to
+    0, 1, z, the point of index 2 (inf for q = 2, where k is the identity).
+    The permutation of k h is built in O(q) when its triple is first met
+    and kept on the spec, so later keys, in later calls too, cost O(n).
     """
-    by_triple = {
-        (perm.index(0), perm.index(1), perm.index(2)): perm
-        for perm in pgl2_point_permutations(spec)
-    }
+    q = spec.q
+    mul, add, sub, inv = spec.mul_code, spec.add_code, spec.sub_code, spec.inv_code
+    k00, k10, k11 = (2, 1, sub(2, 1)) if q > 2 else (1, 0, 1)
+    perms = spec._orbit_perms
+
+    def det(u, v):
+        return sub(mul(u[0], v[1]), mul(u[1], v[0]))
+
+    def permutation(a, b, c):
+        vec = [_canonical_vector(spec, i) for i in range(q + 1)]
+        va, vc = vec[a], vec[c]
+        lam, mu = det(vec[b], vc), det(vec[b], va)
+        x_a, y_a, y_c = mul(k00, lam), mul(k10, lam), mul(k11, mu)
+        perm = []
+        for v in vec:
+            d_a, d_c = det(v, va), det(v, vc)
+            y = add(mul(y_a, d_a), mul(y_c, d_c))
+            perm.append(mul(mul(x_a, d_a), inv(y)) if y else q)
+        return tuple(perm)
 
     def key(tup: tuple[int, ...]) -> tuple[int, ...]:
         a, b = tup[0], tup[1]
         for c in tup:
             if c != a and c != b:
-                perm = by_triple[a, b, c]
+                try:
+                    perm = perms[a, b, c]
+                except KeyError:
+                    perm = perms[a, b, c] = permutation(a, b, c)
                 return tuple([perm[i] for i in tup])
         return tuple([0 if i == a else 1 for i in tup])
 
@@ -560,5 +585,6 @@ def frieze_to_configuration(row: FirstRow) -> Configuration:
 
 def orbit_of(config: Configuration) -> tuple[int, ...]:
     """Canonical representative (as point indices) of the PGL2 orbit: the
-    lexicographically smallest image, by the same key as pgl2_orbit_count."""
+    lexicographically smallest image, by the same key as pgl2_orbit_count.
+    Costs O(q) for a triple not yet met on this spec and O(n) after."""
     return _orbit_key_function(config.spec)(config.indices)

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import friezes
 from friezes.cli import main
@@ -299,6 +304,11 @@ def test_repeated_calls_match_fresh_processes(capsys, monkeypatch):
         ["count", "--field", "3", "--max-width", "3"],
         ["enumerate", "--field", "2", "--width", "3", "--strategy", "naive"],
         ["enumerate", "--field", "2", "--width", "3"],
+        # map keys orbits on the spec the enumerate call left in the cache
+        ["enumerate", "--field", "2^4", "--width", "1"],
+        ["map", "--field", "2^4", "--to", "frieze", "--points", "3,0,inf,7,12"],
+        ["enumerate", "--field", "7^2", "--width", "1"],
+        ["--format", "json", "map", "--field", "7^2", "--to", "frieze", "--points", "5,48,0,inf,1"],
     ]
     monkeypatch.delenv("FRIEZES_BUDGET", raising=False)
     src = str(Path(friezes.__file__).resolve().parent.parent)
@@ -310,4 +320,93 @@ def test_repeated_calls_match_fresh_processes(capsys, monkeypatch):
         )
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
         codes.append(fresh.returncode)
-    assert codes == [0, 0, 1, 0, 0, 0]
+    assert codes == [0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+
+
+_FIELDS = ["2", "3", "2^2", "5", "7", "2^3", "3^2", "2^4", "5^2", "7^2"]
+_JUNK = {
+    "field": ["4", "banana", "", "2^0", "5:1,1", "2^2:1,0,1", "-3", "2^2:1,1,1"],
+    "int": ["-1", "x", ""],
+    "choice": ["xml", "fast", "moon"],
+    "label": ["-1", "60", "x", ""],
+}
+
+
+def _concat(lists):
+    return [a for part in lists for a in part]
+
+
+def _argv_strategy(junk: bool):
+    """argvs over every subcommand; with junk, any value may be invalid and
+    required flags may be missing or stray tokens present."""
+
+    def values(kind, good):
+        return st.sampled_from(good + _JUNK[kind]) if junk else st.sampled_from(good)
+
+    def flag(name, kind, good, required=True):
+        pair = values(kind, good).map(lambda v: [name, v])
+        return st.one_of(st.just([]), pair) if junk or not required else pair
+
+    def command(name, *parts):
+        return st.tuples(*parts).map(lambda ps: [name] + _concat(ps))
+
+    small = [str(i) for i in range(7)]
+    codes = st.sampled_from(["0,1,inf", "1,1,1", "1,1,1,0,0", "0,2,inf,1,3"]) | st.lists(
+        values("label", ["0", "1", "2", "3", "inf"]), max_size=7
+    ).map(",".join)
+    commands = [
+        command(
+            "enumerate",
+            flag("--field", "field", _FIELDS),
+            flag("--width", "int", ["1", "2"]),
+            flag("--strategy", "choice", ["naive", "mitm"], required=False),
+        ),
+        command(
+            "count",
+            flag("--field", "field", _FIELDS),
+            flag("--kind", "choice", ["friezes", "moduli"], required=False),
+            flag("--max-width", "int", small[1:], required=False),
+            flag("--max-n", "int", small[2:], required=False),
+        ),
+        command(  # verify streams C_n, so its fields and n stay small
+            "verify",
+            flag("--field", "field", _FIELDS[:7]),
+            flag("--which", "choice", ["friezes", "moduli", "partitions", "all"], required=False),
+            flag("--max-width", "int", ["1", "2"]),
+            flag("--max-n", "int", ["2", "3", "4"]),
+        ),
+        command(
+            "map",
+            flag("--field", "field", _FIELDS),
+            flag("--to", "choice", ["config", "frieze"]),
+            codes.map(lambda c: ["--row", c]),
+            codes.map(lambda c: ["--points", c]),
+        ),
+        command("print", flag("--field", "field", _FIELDS), codes.map(lambda c: ["--row", c])),
+        command("partitions", flag("--max-n", "int", small[2:], required=False)),
+    ]
+    if junk:
+        commands.append(
+            st.lists(st.sampled_from(["bogus", "map", "--field", "2", "-x", "--"]), max_size=3)
+        )
+    return st.tuples(
+        flag("--format", "choice", ["text", "json"], required=False),
+        flag("--budget", "int", ["100", "5000", "100000000"], required=False),
+        flag("--workers", "int", ["1", "3"], required=False),
+        st.one_of(commands),
+    ).map(_concat)
+
+
+_argvs = st.one_of(_argv_strategy(False), _argv_strategy(True))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_argvs)
+def test_any_argv_exits_with_a_contract_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("FRIEZES_BUDGET", None)
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()

@@ -196,6 +196,14 @@ def test_descriptor_errors():
         parse_field_descriptor("2^2:1,0,1")
 
 
+def test_descriptor_specs_are_shared_per_process():
+    assert parse_field_descriptor("3^4") is parse_field_descriptor("3^4")
+    assert FieldSpec(3, 4) is not parse_field_descriptor("3^4")
+    for _ in range(2):  # failures are not cached
+        with pytest.raises(DescriptorError):
+            parse_field_descriptor("6^2")
+
+
 def test_spec_equality_is_structural():
     assert FieldSpec(2, 2) == FieldSpec(2, 2, modulus=[1, 1, 1])
     assert FieldSpec(2, 2) != FieldSpec(2, 1 + 2)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ from friezes import (
     FieldSpec,
     FirstRow,
     FirstRowClass,
+    Mat2,
     NotLiftable,
     OddN,
     ProjPoint,
@@ -197,10 +199,10 @@ def test_orbit_key_matches_group_scan():
     # group, which the library finds by sharp 3-transitivity instead; the
     # scan's value is the same for every member of an orbit, so it runs once
     # per orbit and is looked up for the other members
-    for q in (2, 3, 4, 5, 7):
+    for q, max_n in ((2, 5), (3, 5), (4, 5), (5, 5), (7, 5), (8, 4), (9, 4)):
         spec = field_by_q(q)
         perms = pgl2_point_permutations(spec)
-        for n in range(2, 6):
+        for n in range(2, max_n + 1):
             scan_min = {}
             two_point = 0
             for t in configuration_index_tuples(spec, n):
@@ -214,6 +216,44 @@ def test_orbit_key_matches_group_scan():
             summary = pgl2_orbit_count(spec, n)
             assert [rep.indices for rep in summary.representatives] == sorted(reference)
             assert list(summary.sizes) == [reference[rep] for rep in sorted(reference)]
+
+
+def _random_configuration(rng, q, n):
+    while True:
+        t = [rng.randrange(q + 1)]
+        for _ in range(n - 1):
+            t.append(rng.choice([v for v in range(q + 1) if v != t[-1]]))
+        if t[-1] != t[0]:
+            return tuple(t)
+
+
+def _random_invertible(rng, spec):
+    while True:
+        g = Mat2.from_codes(spec, [rng.randrange(spec.q) for _ in range(4)])
+        if g.det().code:
+            return g
+
+
+@pytest.mark.parametrize("p, k", [(2, 4), (3, 3), (7, 2), (2, 6)])
+def test_orbit_key_invariant_on_larger_fields(p, k):
+    # beyond the group scan: the key is constant on orbits, with the group
+    # acting through Mat2.act rather than the key's own Mobius maps, and it
+    # has the shape sharp 3-transitivity forces
+    spec = FieldSpec(p, k)
+    q = spec.q
+    rng = random.Random(1000 * q + 13)
+    keys = {}
+    for _ in range(60):
+        t = _random_configuration(rng, q, rng.randint(3, 8))
+        g = _random_invertible(rng, spec)
+        moved = tuple(g.act(ProjPoint.from_index(spec, i)).index for i in t)
+        key = orbit_of(config(spec, t))
+        assert orbit_of(config(spec, moved)) == key
+        assert key[:2] == (0, 1)
+        assert next((i for i in key if i > 1), 2) == 2
+        keys[t] = key
+    for t, key in keys.items():  # every triple met above is cached on the spec now
+        assert orbit_of(config(spec, t)) == key
 
 
 def test_orbit_sizes():
