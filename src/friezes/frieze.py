@@ -29,8 +29,9 @@ frozen.
 
 FirstRow and Frieze store element codes 0..q-1; FieldElements are built only
 where the API returns them (FirstRow.elements, Frieze.row, Frieze.entry).  The
-SL2 step P -> M(a) P of one row is row_products; search._prefix_products is
-the search's copy, stepping all prefixes at once.
+SL2 step P -> M(a) P of one row is row_products, by code ops;
+search._prefix_products is the search's copy, which steps all q children of a
+prefix at once from two FieldSpec.line_codes rows.
 """
 
 from __future__ import annotations
@@ -286,11 +287,13 @@ def check_tame(f: Frieze, all_diamonds: bool = False) -> TamenessReport:
 
 
 def dihedral_orbit_codes(codes: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """All rotations of the tuple and of its reversal."""
+    """All rotations of the tuple and of its reversal, each one slice of the
+    tuple written twice or of that reversed."""
     n = len(codes)
-    rev = codes[::-1]
-    orbit = {codes[i:] + codes[:i] for i in range(n)}
-    orbit.update(rev[i:] + rev[:i] for i in range(n))
+    twice = codes + codes
+    rev = twice[::-1]
+    orbit = {twice[i : i + n] for i in range(n)}
+    orbit.update(rev[i : i + n] for i in range(n))
     return orbit
 
 

@@ -263,6 +263,20 @@ class FieldSpec:
         t = self._neg
         return t[a] if t is not None else self._neg_raw(a)
 
+    def line_codes(self, a: int, b: int) -> list[int]:
+        """The codes of a x - b for every x, in code order: one row of the
+        SL2 step, read from the op tables when the field has them."""
+        if self._mul is not None:
+            shift = self._add[self._neg[b]]
+            return [shift[ax] for ax in self._mul[a]]
+        if self.k == 1:
+            p = self.p
+            if a == 0:
+                return [-b % p] * p
+            return [y % p for y in range(-b, a * p - b, a)]
+        mul, sub = self.mul_code, self.sub_code
+        return [sub(mul(a, x), b) for x in range(self.q)]
+
     def inv_code(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")

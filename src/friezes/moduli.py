@@ -35,6 +35,13 @@ from .frieze import FirstRow, matrix_criterion, row_products
 from .gf import FieldElement, FieldSpec, ProjPoint
 from .gf import pgl2_point_permutations  # unused here; perfbench/spans.py wraps it
 
+# Most point permutations a FieldSpec keeps for the orbit keys.  It lies
+# above GF(16)'s 17 * 16 * 15 = 4080 ordered triples, so fields up to 16
+# elements keep every triple.  On larger ones the table is emptied when full:
+# it holds at most this many tuples of q + 1 points (about 3 MiB on GF(27))
+# instead of one per ordered triple, a number that grows as q^3.
+ORBIT_PERMS_LIMIT = 8192
+
 
 @dataclass(frozen=True)
 class Configuration:
@@ -345,12 +352,13 @@ def _orbit_key_function(spec: FieldSpec) -> Callable[[tuple[int, ...]], tuple[in
     a, b, c to 0, 1, inf, and k = [[z, 0], [1, z - 1]] sends 0, 1, inf to
     0, 1, z, the point of index 2 (inf for q = 2, where k is the identity).
     The permutation of k h is built in O(q) when its triple is first met
-    and kept on the spec, so later keys, in later calls too, cost O(n).
+    and kept on the spec, so later keys, in later calls too, cost O(n).  The
+    spec keeps at most ORBIT_PERMS_LIMIT of them.
     """
     q = spec.q
     mul, add, sub, inv = spec.mul_code, spec.add_code, spec.sub_code, spec.inv_code
     k00, k10, k11 = (2, 1, sub(2, 1)) if q > 2 else (1, 0, 1)
-    perms = spec._orbit_perms
+    perms, limit = spec._orbit_perms, ORBIT_PERMS_LIMIT
 
     def det(u, v):
         return sub(mul(u[0], v[1]), mul(u[1], v[0]))
@@ -374,6 +382,8 @@ def _orbit_key_function(spec: FieldSpec) -> Callable[[tuple[int, ...]], tuple[in
                 try:
                     perm = perms[a, b, c]
                 except KeyError:
+                    if len(perms) >= limit:
+                        perms.clear()
                     perm = perms[a, b, c] = permutation(a, b, c)
                 return tuple([perm[i] for i in tup])
         return tuple([0 if i == a else 1 for i in tup])

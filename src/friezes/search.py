@@ -15,11 +15,17 @@ entries of a row follow from the others.  Two strategies:
          for each left product L = M(a_nl)...M(a_1) the equation
          R L = -M(a_n)^(-1) = [[0, -1], [1, -a_n]] fixes that first row as
          (l10, -l00) and every entry of its bucket fixes a_n, so the work is
-         q^nl left leaves plus the q^nr table.
+         q^nl left leaves plus the q^nr table.  Buckets are keyed by
+         (r00, -r01) and hold (mid, -r10, -r11), so a leaf looks up
+         (l10, l00) and a_n = (-r10) l01 + (-r11) l11 needs no negation.
 
 Both walk prefixes with _prefix_products, the search's copy of the SL2 step
-(frieze.row_products is the single-row one).  Rows stay code tuples; only
-orbit representatives become FirstRows.
+(frieze.row_products is the single-row one).  It steps all q children of a
+prefix at once: their new first row (x p00 - p10, x p01 - p11) is two rows of
+FieldSpec.line_codes, read from the op tables where the field has them.  The
+completions read table rows too (_mul[p01], _add[1], ...), with a code-op
+branch for fields above gf.TABLE_LIMIT.  Rows stay code tuples; only orbit
+representatives become FirstRows.
 
 Both return identical, lexicographically sorted results, with the chunks of
 each first code concatenated in code order.  The search runs in one thread.
@@ -73,16 +79,18 @@ def _estimated_work(q: int, n: int, strategy: str) -> int:
 def _prefix_products(spec: FieldSpec, length: int, firsts) -> list[tuple]:
     """Every prefix (a_1, ..., a_length) with a_1 in firsts, in lex order, as
     (prefix, p00, p01, p10, p11) with P = M(a_length)...M(a_1): a flat walk
-    that steps P -> M(a) P for a whole level at a time."""
-    mul, sub = spec.mul_code, spec.sub_code
+    that steps P -> M(a) P for a whole level at a time.  The children of one
+    parent read their new first row (a p00 - p10, a p01 - p11) from two
+    line_codes rows."""
+    line = spec.line_codes
     codes = range(spec.q)
     neg1 = spec.neg_code(1)
     level = [((x,), x, neg1, 1, 0) for x in firsts]
     for _ in range(length - 1):
         level = [
-            (prefix + (x,), sub(mul(x, p00), p10), sub(mul(x, p01), p11), p00, p01)
+            (prefix + (x,), y0, y1, p00, p01)
             for prefix, p00, p01, p10, p11 in level
-            for x in codes
+            for x, y0, y1 in zip(codes, line(p00, p10), line(p01, p11))
         ]
     return level
 
@@ -90,42 +98,74 @@ def _prefix_products(spec: FieldSpec, length: int, firsts) -> list[tuple]:
 def _naive_chunk(spec: FieldSpec, n: int, first: int) -> list[tuple[int, ...]]:
     """Rows with a_1 = first, in lex order: a_2..a_{n-3} are scanned and the
     last three entries solved from the prefix product."""
-    mul, add, sub, inv = spec.mul_code, spec.add_code, spec.sub_code, spec.inv_code
     codes = range(spec.q)
-    neg1 = spec.neg_code(1)
+    neg = spec.neg_code
+    neg1 = neg(1)
+    leaves = _prefix_products(spec, n - 3, (first,))
     out = []
-    for prefix, p00, p01, p10, p11 in _prefix_products(spec, n - 3, (first,)):
-        # M(z) M(p00) M(y) = -P^(-1) = [[-p11, p01], [p10, -p00]] needs
-        # y p00 = 1 + p10 and gives z = p11 - y p01; det P = 1 does the rest
+    # M(z) M(p00) M(y) = -P^(-1) = [[-p11, p01], [p10, -p00]] needs
+    # y p00 = 1 + p10 and gives z = p11 - y p01; det P = 1 does the rest.
+    # When p00 = 0 every y works and the z are the row -p01 y + p11.
+    if spec._mul is not None:
+        mul, sub, inv, inc = spec._mul, spec._sub, spec._inv, spec._add[1]
+        for prefix, p00, p01, p10, p11 in leaves:
+            if p00:
+                y = mul[inc[p10]][inv[p00]]
+                out.append(prefix + (y, p00, sub[p11][mul[y][p01]]))
+            elif p10 == neg1:
+                out += [
+                    prefix + (y, 0, z)
+                    for y, z in zip(codes, spec.line_codes(neg(p01), neg(p11)))
+                ]
+        return out
+    mul, add, sub, inv = spec.mul_code, spec.add_code, spec.sub_code, spec.inv_code
+    for prefix, p00, p01, p10, p11 in leaves:
         if p00:
             y = mul(add(1, p10), inv(p00))
             out.append(prefix + (y, p00, sub(p11, mul(y, p01))))
         elif p10 == neg1:
-            out += [prefix + (y, 0, sub(p11, mul(y, p01))) for y in codes]
+            out += [
+                prefix + (y, 0, z)
+                for y, z in zip(codes, spec.line_codes(neg(p01), neg(p11)))
+            ]
     return out
 
 
 def _mitm_table(spec: FieldSpec, nr: int):
-    """Middle products R = M(a_{n-1})...M(a_{nl+1}) keyed by R's first row
-    (r00, r01).  Each bucket lists (mid, r10, r11) with mid = (a_{nl+1}, ...,
-    a_{n-1}), in lex order of mid."""
+    """Middle products R = M(a_{n-1})...M(a_{nl+1}) keyed by (r00, -r01), R's
+    first row with its second entry negated.  Each bucket lists
+    (mid, -r10, -r11) with mid = (a_{nl+1}, ..., a_{n-1}), in lex order of
+    mid.  The signs are those _mitm_chunk needs, so it negates nothing."""
+    neg = [spec.neg_code(x) for x in range(spec.q)]
     table = defaultdict(list)
     for mid, r00, r01, r10, r11 in _prefix_products(spec, nr, range(spec.q)):
-        table[(r00, r01)].append((mid, r10, r11))
+        table[(r00, neg[r01])].append((mid, neg[r10], neg[r11]))
     return dict(table)
 
 
 def _mitm_chunk(spec: FieldSpec, nl: int, first: int, table) -> list[tuple[int, ...]]:
     """Rows with a_1 = first, in lex order: each left product L is completed
     by the table bucket at R's forced first row, and a_n is solved."""
-    mul, add, neg = spec.mul_code, spec.add_code, spec.neg_code
     out = []
     empty = ()
-    for prefix, p00, p01, p10, p11 in _prefix_products(spec, nl, (first,)):
-        # R L = [[0, -1], [1, -a_n]]: R's first row is (p10, -p00), the
-        # (1, 0) entry follows from det R = det L = 1
-        for mid, r10, r11 in table.get((p10, neg(p00)), empty):
-            out.append(prefix + mid + (neg(add(mul(r10, p01), mul(r11, p11))),))
+    get = table.get
+    # R L = [[0, -1], [1, -a_n]]: R's first row is (p10, -p00), so the key
+    # (r00, -r01) is (p10, p00); the (1, 0) entry follows from
+    # det R = det L = 1 and gives a_n = (-r10) p01 + (-r11) p11
+    leaves = _prefix_products(spec, nl, (first,))
+    if spec._mul is not None:
+        mul, add = spec._mul, spec._add
+        for prefix, p00, p01, p10, p11 in leaves:
+            bucket = get((p10, p00), empty)
+            if bucket:
+                m01, m11 = mul[p01], mul[p11]
+                for mid, s10, s11 in bucket:
+                    out.append(prefix + mid + (add[m01[s10]][m11[s11]],))
+        return out
+    mul, add = spec.mul_code, spec.add_code
+    for prefix, p00, p01, p10, p11 in leaves:
+        for mid, s10, s11 in get((p10, p00), empty):
+            out.append(prefix + mid + (add(mul(s10, p01), mul(s11, p11)),))
     return out
 
 

@@ -275,3 +275,36 @@ def test_code_rows_wrap_into_field_elements():
                 for r in range(-1, w + 3):
                     assert built.row(r) == tuple(built.entry(r, c) for c in range(n))
                     assert all(isinstance(e, FieldElement) for e in built.row(r))
+
+
+def _dihedral_images(codes):
+    # the definition: the rotations i -> i + s and reflections i -> s - i of
+    # the index cycle Z/n
+    n = len(codes)
+    rotations = {tuple(codes[(i + s) % n] for i in range(n)) for s in range(n)}
+    reflections = {tuple(codes[(s - i) % n] for i in range(n)) for s in range(n)}
+    return rotations | reflections
+
+
+@st.composite
+def _rows(draw):
+    # random rows, rows with a shorter period, and palindromes, 3 to 20 long
+    shape = draw(st.sampled_from(["plain", "periodic", "palindrome"]))
+    letters = st.integers(0, draw(st.integers(1, 4)))
+    if shape == "plain":
+        return tuple(draw(st.lists(letters, min_size=3, max_size=20)))
+    if shape == "periodic":
+        period = tuple(draw(st.lists(letters, min_size=1, max_size=6)))
+        reps = draw(st.integers(-(-3 // len(period)), 20 // len(period)))
+        return period * reps
+    half = tuple(draw(st.lists(letters, min_size=1, max_size=9)))
+    middle = tuple(draw(st.lists(letters, min_size=len(half) == 1, max_size=1)))
+    return half + middle + half[::-1]
+
+
+@settings(deadline=None, max_examples=300)
+@given(_rows())
+def test_dihedral_orbit_codes_match_the_definition(codes):
+    orbit = dihedral_orbit_codes(codes)
+    assert orbit == _dihedral_images(codes)
+    assert 2 * len(codes) % len(orbit) == 0  # it divides the order of D_n

@@ -242,3 +242,17 @@ def test_op_tables_match_raw_arithmetic(q, samples):
     assert spec._neg == [spec._neg_raw(a) for a in codes]
     assert spec._inv[0] is None
     assert all(spec._mul_raw(a, spec._inv[a]) == 1 for a in range(1, q))
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (3, 4), (2, 8), (257, 1), (17, 2)])
+def test_line_codes_match_code_ops(p, k):
+    # tabled (GF(4), GF(81), GF(256)), untabled prime (GF(257)) and untabled
+    # extension (GF(17^2)): each reads the row a x - b its own way
+    spec = FieldSpec(p, k)
+    q = spec.q
+    rng = random.Random(q)
+    pairs = [(0, 0), (0, q - 1), (1, 0), (q - 1, 1)]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(12)]
+    for a, b in pairs:
+        row = spec.line_codes(a, b)
+        assert row == [spec.sub_code(spec.mul_code(a, x), b) for x in range(q)]

@@ -30,6 +30,7 @@ from friezes.formulas import (
     count_moduli_plus,
     count_signed_configurations,
 )
+from friezes import moduli
 from friezes.gf import pgl2_point_permutations
 from friezes.moduli import (
     _det_table,
@@ -450,3 +451,23 @@ def test_frieze_points_match_the_vector_recursion():
                 cfg = frieze_to_configuration(FirstRow(spec, t))
                 assert cfg.points == tuple(points)
                 assert cfg.indices == tuple(p.index for p in points)
+
+
+def test_orbit_perms_cache_is_bounded():
+    # GF(27) has 28 * 27 * 26 = 19656 ordered triples, above the limit
+    spec = FieldSpec(3, 3)
+    assert pgl2_orbit_count(spec, 3).count == count_moduli(27, 3)
+    assert 0 < len(spec._orbit_perms) <= moduli.ORBIT_PERMS_LIMIT
+
+
+def test_orbit_keys_do_not_depend_on_the_cache_limit(monkeypatch):
+    rng = random.Random(27)
+    tuples = [_random_configuration(rng, 27, rng.randint(3, 7)) for _ in range(400)]
+    unbounded = FieldSpec(3, 3)
+    keys = [orbit_of(config(unbounded, t)) for t in tuples]
+    monkeypatch.setattr(moduli, "ORBIT_PERMS_LIMIT", 16)
+    bounded = FieldSpec(3, 3)
+    for t, key in zip(tuples, keys):
+        assert orbit_of(config(bounded, t)) == key
+        assert len(bounded._orbit_perms) <= 16
+    assert len(unbounded._orbit_perms) > 16

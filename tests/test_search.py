@@ -7,6 +7,7 @@ import pytest
 from friezes import (
     BudgetExceeded,
     FieldSpec,
+    FirstRow,
     SearchConfig,
     catalog_orbits,
     check_tame,
@@ -18,7 +19,13 @@ from friezes import (
 )
 from friezes.formulas import count_friezes
 from friezes.frieze import dihedral_orbit_codes, row_products
-from friezes.search import _prefix_products, enumeration_to_json_dict
+from friezes.search import (
+    _mitm_chunk,
+    _mitm_table,
+    _naive_chunk,
+    _prefix_products,
+    enumeration_to_json_dict,
+)
 
 from helpers import field_by_q
 
@@ -231,3 +238,42 @@ def test_prefix_products_match_row_products(q):
         assert _prefix_products(spec, length, (first,)) == [
             state for state in expected if state[0][0] == first
         ]
+
+
+@pytest.mark.parametrize("p, k", [(257, 1), (17, 2)])
+def test_prefix_products_without_op_tables(p, k):
+    spec = FieldSpec(p, k)
+    firsts = (0, 5, spec.q - 1)
+    expected = [
+        ((a, b), *row_products(spec, (a, b))[-1])
+        for a in firsts
+        for b in range(spec.q)
+    ]
+    assert _prefix_products(spec, 2, firsts) == expected
+
+
+def test_mitm_chunk_on_an_untabled_extension():
+    # GF(17^2) has no op tables, so the chunk takes its code-op branch; the
+    # naive chunk, which shares no completion step with it, is the reference
+    spec = FieldSpec(17, 2)
+    assert spec._mul is None
+    table = _mitm_table(spec, 1)
+    found = 0
+    for first in (0, 1, 2, 17, 200, 288):
+        rows = _mitm_chunk(spec, 2, first, table)
+        assert rows == _naive_chunk(spec, 4, first)
+        assert all(matrix_criterion(FirstRow(spec, r))[0] for r in rows)
+        found += len(rows)
+    # width-1 rows are (x, 2/x, x, 2/x): one per nonzero first entry
+    assert found == 5
+
+
+def test_chunks_agree_on_an_untabled_prime_at_width_2():
+    # on GF(257), first = -1 gives p00 = 0 after a_2 = -1, where the naive
+    # chunk completes with all q values of a_3
+    spec = FieldSpec(257)
+    table = _mitm_table(spec, 2)
+    for first in (1, 256):
+        rows = _mitm_chunk(spec, 2, first, table)
+        assert rows == _naive_chunk(spec, 5, first)
+    assert sum(row[3] == 0 for row in rows) == 257
