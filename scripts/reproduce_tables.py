@@ -1,66 +1,31 @@
 #!/usr/bin/env python3
-"""Regenerate the headline number tables by exhaustive enumeration and print
-them next to the closed forms: frieze counts by width, orbit catalogs of the
-small widths, moduli point counts, and the restricted-partition triangle."""
+"""Regenerate the headline number tables by exhaustive enumeration, checked
+against the closed forms: frieze counts by width, orbit catalogs of the small
+widths, moduli point counts, and the restricted-partition triangle.
+
+Every table is one `friezes` command, printed after a `$ friezes ...` line.
+The script exits with the largest exit code of those commands, so 0 means
+every check matched (3 a mismatch, 2 a budget refusal) and it can drive CI.
+"""
 
 import argparse
+import sys
 
-from friezes import FieldSpec, catalog_orbits, enumerate_friezes
-from friezes.formulas import count_friezes, count_moduli, count_moduli_plus
-from friezes.moduli import pgl2_orbit_count
-from friezes.partitions import a_kn_closed_form, cyclic_partition_counts
+from friezes.cli import main as friezes
 
-FIELDS = {2: FieldSpec(2), 3: FieldSpec(3), 4: FieldSpec(2, 2), 5: FieldSpec(5)}
-
-
-def frieze_table(max_width: int):
-    print(f"tame frieze counts, widths 1..{max_width} (enumerated / closed form)")
-    for q, spec in FIELDS.items():
-        cells = []
-        for w in range(1, max_width + 1):
-            enumerated = enumerate_friezes(spec, w).total_count
-            closed = count_friezes(q, spec.char_is_2, w)
-            mark = "" if enumerated == closed else "!"
-            cells.append(f"{enumerated}{mark}")
-        print(f"  q={q}: " + "  ".join(cells))
-    print()
+FIELDS = ("2", "3", "2^2", "5")
+CATALOGS = (("2", 2), ("3", 2), ("5", 2), ("2", 3), ("3", 3), ("2^2", 2))
 
 
-def catalogs():
-    print("dihedral orbit catalogs of the small widths")
-    for q, w in ((2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (4, 2)):
-        print(catalog_orbits(enumerate_friezes(FIELDS[q], w)))
-        print()
-
-
-def moduli_table(max_n: int):
-    print(f"moduli point counts, n = 2..{max_n} (orbit enumeration / closed form)")
-    for q in (2, 3):
-        spec = FIELDS[q]
-        for n in range(2, max_n + 1):
-            got = pgl2_orbit_count(spec, n).count
-            closed = count_moduli(q, n)
-            line = f"  q={q} n={n}: {got} / {closed}"
-            if n % 2 == 0:
-                plus = pgl2_orbit_count(spec, n, "plus").count
-                line += (
-                    f"   plus class: {plus} / "
-                    f"{count_moduli_plus(q, spec.char_is_2, n // 2)}"
-                )
-            print(line)
-    print()
-
-
-def partition_triangle(max_n: int):
-    print(f"restricted cyclic partitions A(k, n), k = 2..n (brute force = closed form)")
-    for n in range(2, max_n + 1):
-        counts = cyclic_partition_counts(n)
-        row = []
-        for k in range(2, n + 1):
-            closed = a_kn_closed_form(k, n)
-            assert closed == counts[k], (n, k)
-            row.append(str(closed))
-        print(f"  n={n:2d}: " + " ".join(row))
+def commands(args):
+    for field in FIELDS:
+        yield f"verify --field {field} --which friezes --max-width {args.max_width}"
+    for field, width in CATALOGS:
+        yield f"enumerate --field {field} --width {width}"
+    for field in ("2", "3"):
+        yield f"verify --field {field} --which moduli --max-n {args.max_n}"
+    yield f"verify --field 2 --which partitions --max-n {args.max_partition_n}"
+    yield f"partitions --max-n {args.max_partition_n}"
 
 
 def main():
@@ -69,11 +34,13 @@ def main():
     parser.add_argument("--max-n", type=int, default=7)
     parser.add_argument("--max-partition-n", type=int, default=10)
     args = parser.parse_args()
-    frieze_table(args.max_width)
-    catalogs()
-    moduli_table(args.max_n)
-    partition_triangle(args.max_partition_n)
+    worst = 0
+    for command in commands(args):
+        print(f"$ friezes {command}")
+        worst = max(worst, friezes(command.split()))
+        print()
+    return worst
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,5 +1,11 @@
 """Command line front end: enumerate, count, verify, map, print, partitions.
 
+`verify` prints one row per check, enumeration against closed form: `friezes`
+by width w; `configurations`, `moduli`, `configurations_plus`,
+`configurations_minus` and `moduli_plus` by n (the last three for even n
+only); `partitions` by n.  The moduli rows read the same closed forms that
+`count --kind moduli` prints.
+
 Exit codes: 0 success, 1 invalid input (usage errors included), 2 work
 budget exceeded, 3 a verification found a mismatch.  The FRIEZES_BUDGET
 environment variable overrides the default work budget; --budget overrides
@@ -57,32 +63,35 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _moduli_closed_forms(spec, n: int) -> dict:
+    """The closed forms `count --kind moduli` prints for n, in print order: the
+    signed counts and the orbits of C_n^+ exist for even n only."""
+    q = spec.q
+    forms = {
+        "configurations": formulas.count_configurations(q, n),
+        "moduli": formulas.count_moduli(q, n),
+    }
+    if n % 2 == 0:
+        signed = formulas.count_signed_configurations(q, spec.char_is_2, n)
+        forms["plus"] = signed.plus
+        forms["minus"] = signed.minus
+        forms["moduli_plus"] = formulas.count_moduli_plus(q, spec.char_is_2, n // 2)
+    return forms
+
+
 def cmd_count(args) -> int:
     spec = parse_field_descriptor(args.field)
-    q = spec.q
     if args.kind == "friezes":
         rows = [
-            {"width": w, "count": formulas.count_friezes(q, spec.char_is_2, w)}
+            {"width": w, "count": formulas.count_friezes(spec.q, spec.char_is_2, w)}
             for w in range(1, args.max_width + 1)
         ]
         text = "w  f_w\n" + "\n".join(f"{r['width']}  {r['count']}" for r in rows)
         _emit(args, {"field": spec.descriptor, "friezes": rows}, text)
     else:
-        rows = []
-        for n in range(2, args.max_n + 1):
-            row = {
-                "n": n,
-                "configurations": formulas.count_configurations(q, n),
-                "moduli": formulas.count_moduli(q, n),
-            }
-            if n % 2 == 0:
-                signed = formulas.count_signed_configurations(q, spec.char_is_2, n)
-                row["plus"] = signed.plus
-                row["minus"] = signed.minus
-                row["moduli_plus"] = formulas.count_moduli_plus(
-                    q, spec.char_is_2, n // 2
-                )
-            rows.append(row)
+        rows = [
+            {"n": n, **_moduli_closed_forms(spec, n)} for n in range(2, args.max_n + 1)
+        ]
         lines = ["n  c_n  c_n+  c_n-  moduli  moduli+"]
         for r in rows:
             lines.append(
@@ -93,129 +102,67 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _verify_friezes(spec, args, report):
-    config = search.SearchConfig(budget=args.budget)
-    ok = True
-    for check in search.verify_count_formula(spec, args.max_width, config=config):
-        report.append(
-            {
-                "check": "friezes",
-                "width": check.width,
-                "enumerated": check.enumerated,
-                "closed_form": check.closed_form,
-                "match": check.match,
-            }
-        )
-        ok = ok and check.match
-    return ok
+# One row per moduli check: (check, closed-form key, sign class, whether it
+# counts PGL2 orbits rather than configurations).  A row runs for n only when
+# its key is among n's closed forms.
+MODULI_CHECKS = (
+    ("configurations", "configurations", "all", False),
+    ("moduli", "moduli", "all", True),
+    ("configurations_plus", "plus", "plus", False),
+    ("configurations_minus", "minus", "minus", False),
+    ("moduli_plus", "moduli_plus", "plus", True),
+)
 
 
-def _verify_moduli(spec, args, report):
-    q = spec.q
-    ok = True
-    for n in range(2, args.max_n + 1):
-        enumerated = sum(
-            1 for _ in moduli.configuration_index_tuples(spec, n, "all", args.budget)
-        )
-        expected = formulas.count_configurations(q, n)
-        report.append(
-            {
-                "check": "configurations",
-                "n": n,
-                "enumerated": enumerated,
-                "closed_form": expected,
-                "match": enumerated == expected,
-            }
-        )
-        ok = ok and enumerated == expected
-
-        orbits = moduli.pgl2_orbit_count(spec, n, "all", args.budget).count
-        expected = formulas.count_moduli(q, n)
-        report.append(
-            {
-                "check": "moduli",
-                "n": n,
-                "enumerated": orbits,
-                "closed_form": expected,
-                "match": orbits == expected,
-            }
-        )
-        ok = ok and orbits == expected
-
-        if n % 2 == 0:
-            signed = formulas.count_signed_configurations(q, spec.char_is_2, n)
-            for sign, expected_count in (("plus", signed.plus), ("minus", signed.minus)):
-                enumerated = sum(
-                    1
-                    for _ in moduli.configuration_index_tuples(
-                        spec, n, sign, args.budget
-                    )
-                )
-                report.append(
-                    {
-                        "check": f"configurations_{sign}",
-                        "n": n,
-                        "enumerated": enumerated,
-                        "closed_form": expected_count,
-                        "match": enumerated == expected_count,
-                    }
-                )
-                ok = ok and enumerated == expected_count
-            plus_orbits = moduli.pgl2_orbit_count(spec, n, "plus", args.budget).count
-            expected = formulas.count_moduli_plus(q, spec.char_is_2, n // 2)
-            report.append(
-                {
-                    "check": "moduli_plus",
-                    "n": n,
-                    "enumerated": plus_orbits,
-                    "closed_form": expected,
-                    "match": plus_orbits == expected,
-                }
+def _verify_rows(spec, args):
+    """Yield (check, (index name, index), enumerated, closed form, match) for
+    every check that --which selects, in print order."""
+    if args.which in ("friezes", "all"):
+        config = search.SearchConfig(budget=args.budget)
+        for c in search.verify_count_formula(spec, args.max_width, config=config):
+            yield "friezes", ("width", c.width), c.enumerated, c.closed_form, c.match
+    if args.which in ("moduli", "all"):
+        for n in range(2, args.max_n + 1):
+            forms = _moduli_closed_forms(spec, n)
+            for check, key, sign, orbits in MODULI_CHECKS:
+                if key not in forms:
+                    continue
+                if orbits:
+                    got = moduli.pgl2_orbit_count(spec, n, sign, args.budget).count
+                else:
+                    stream = moduli.configuration_index_tuples(spec, n, sign, args.budget)
+                    got = sum(1 for _ in stream)
+                yield check, ("n", n), got, forms[key], got == forms[key]
+    if args.which in ("partitions", "all"):
+        for n in range(2, args.max_n + 1):
+            counts = partitions.cyclic_partition_counts(n)
+            closed_ok = all(
+                counts[k] == partitions.a_kn_closed_form(k, n) for k in range(2, n + 1)
             )
-            ok = ok and plus_orbits == expected
-    return ok
-
-
-def _verify_partitions(spec, args, report):
-    ok = True
-    for n in range(2, args.max_n + 1):
-        counts = partitions.cyclic_partition_counts(n)
-        closed_ok = all(
-            counts[k] == partitions.a_kn_closed_form(k, n) for k in range(2, n + 1)
-        )
-        rhs = partitions.partition_identity_rhs(spec.q, n, counts)
-        lhs = formulas.count_configurations(spec.q, n)
-        report.append(
-            {
-                "check": "partitions",
-                "n": n,
-                "enumerated": rhs,
-                "closed_form": lhs,
-                "match": closed_ok and rhs == lhs,
-            }
-        )
-        ok = ok and closed_ok and rhs == lhs
-    return ok
+            rhs = partitions.partition_identity_rhs(spec.q, n, counts)
+            lhs = formulas.count_configurations(spec.q, n)
+            yield "partitions", ("n", n), rhs, lhs, closed_ok and rhs == lhs
 
 
 def cmd_verify(args) -> int:
     spec = parse_field_descriptor(args.field)
-    report: list[dict] = []
-    ok = True
-    if args.which in ("friezes", "all"):
-        ok = _verify_friezes(spec, args, report) and ok
-    if args.which in ("moduli", "all"):
-        ok = _verify_moduli(spec, args, report) and ok
-    if args.which in ("partitions", "all"):
-        ok = _verify_partitions(spec, args, report) and ok
-    lines = []
-    for row in report:
-        status = "ok" if row["match"] else "MISMATCH"
-        where = f"w={row['width']}" if "width" in row else f"n={row['n']}"
-        lines.append(
-            f"{row['check']:22s} {where:6s} enumerated {row['enumerated']} "
-            f"closed form {row['closed_form']}  {status}"
+    report, lines = [], []
+    for check, (index, i), enumerated, closed_form, match in _verify_rows(spec, args):
+        report.append(
+            {
+                "check": check,
+                index: i,
+                "enumerated": enumerated,
+                "closed_form": closed_form,
+                "match": match,
+            }
         )
+        where = f"{'w' if index == 'width' else 'n'}={i}"
+        lines.append(
+            f"{check:22s} {where:6s} enumerated {enumerated} "
+            f"closed form {closed_form}  {'ok' if match else 'MISMATCH'}"
+        )
+    ok = all(row["match"] for row in report)
     _emit(args, {"field": spec.descriptor, "ok": ok, "rows": report}, "\n".join(lines))
     return EXIT_OK if ok else EXIT_MISMATCH
 

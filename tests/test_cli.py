@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -200,6 +201,44 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     )
     assert code == 3
     assert "MISMATCH" in out
+
+
+@pytest.mark.parametrize(
+    "target, broken",
+    [
+        ("friezes.formulas.count_moduli", {"moduli"}),
+        ("friezes.formulas.count_moduli_plus", {"moduli_plus"}),
+        (
+            "friezes.formulas.count_signed_configurations",
+            {"configurations_plus", "configurations_minus"},
+        ),
+        ("friezes.formulas.count_configurations", {"configurations", "partitions"}),
+        ("friezes.partitions.a_kn_closed_form", {"partitions"}),
+    ],
+)
+def test_verify_mismatch_marks_the_rows_of_a_wrong_closed_form(
+    capsys, monkeypatch, target, broken
+):
+    # Each closed form is off by one.  n stops at 3: from n = 4 on, the signed
+    # counts are built from count_configurations and would break too.
+    module, name = target.rsplit(".", 1)
+    original = getattr(importlib.import_module(module), name)
+
+    def off_by_one(*args):
+        value = original(*args)
+        if isinstance(value, tuple):  # SignedCounts
+            return type(value)(*(c + 1 for c in value))
+        return value + 1
+
+    monkeypatch.setattr(target, off_by_one)
+    argv = ("verify", "--field", "3", "--max-width", "1", "--max-n", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert {line.split()[0] for line in out.splitlines() if "MISMATCH" in line} == broken
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    doc = json.loads(out)
+    assert code == 3 and doc["ok"] is False
+    assert {row["check"] for row in doc["rows"] if not row["match"]} == broken
 
 
 def test_map_row_to_config(capsys):

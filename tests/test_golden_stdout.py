@@ -3,7 +3,9 @@ argv below, for print, map both ways, enumerate and count in text and JSON
 over GF(2), GF(3), GF(2^2), GF(5) and GF(3^2), plus verify and partitions.
 
 The digests were recorded from the package before its core types stored
-element codes, so any change to what the CLI prints fails here.
+element codes, so any change to what the CLI prints fails here.  The verify
+argvs on GF(2^2), GF(5) and GF(2), one per --which, and the budget refusal
+were recorded before verify became one loop over a table of checks.
 """
 
 import contextlib
@@ -121,6 +123,11 @@ GOLDEN = {
     "map --field 5 --to frieze --points 0,1,2,3": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "verify --field 3": (0, "c0076d8580d63bf575ddf10155f86c4195c2579c7db6c9e2f3774b726c52dc42"),
     "--format json verify --field 3": (0, "1f4ede16b9be4b6d68401c45970f3fcb84e8ff447801f5daafa5e8d554e44ff4"),
+    "verify --field 2^2": (0, "2316196a75b082bb96e62576e19d7d5e4e5243c4385e2ac84550ed8a94df1508"),
+    "--format json verify --field 2^2": (0, "4d993a1ea3a3b987c656d9ea0ec4945488a6d837a85a713b7b76e9708840e14e"),
+    "verify --field 5 --which moduli --max-n 6": (0, "b319868432892bd8b76a041982056f3c4e56c43f1946fb46477f9450adff921f"),
+    "--format json verify --field 2 --which partitions --max-n 9": (0, "fe870700bc014ed505ae26cc008f793b01fac00686850c199f94452822ed937b"),
+    "--budget 100 verify --field 3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "partitions": (0, "27be3ceb21035fdaca243c39facd74e5c3dc9e135ff589ea142f2a7297ffc630"),
     "--format json partitions": (0, "19299a9107207fa8bcbe93e4b37cdfd45d8037a8d708e4b21c84b2fcd4490cf0"),
 }
