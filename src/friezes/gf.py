@@ -106,7 +106,6 @@ class FieldSpec:
         "_inv",
         "_pgl2",
         "_p1_perms",
-        "_orbit_perms",
     )
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
@@ -139,7 +138,6 @@ class FieldSpec:
         self._add = self._sub = self._mul = self._neg = self._inv = None
         self._pgl2 = None
         self._p1_perms = None
-        self._orbit_perms = {}  # ordered triple -> point permutation, see moduli
         if self.q <= TABLE_LIMIT:
             self._build_tables()
 

@@ -18,7 +18,7 @@ frieze.row_products.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence
@@ -34,13 +34,6 @@ from .errors import (
 from .frieze import FirstRow, matrix_criterion, row_products
 from .gf import FieldElement, FieldSpec, ProjPoint
 from .gf import pgl2_point_permutations  # unused here; perfbench/spans.py wraps it
-
-# Most point permutations a FieldSpec keeps for the orbit keys.  It lies
-# above GF(16)'s 17 * 16 * 15 = 4080 ordered triples, so fields up to 16
-# elements keep every triple.  On larger ones the table is emptied when full:
-# it holds at most this many tuples of q + 1 points (about 3 MiB on GF(27))
-# instead of one per ordered triple, a number that grows as q^3.
-ORBIT_PERMS_LIMIT = 8192
 
 
 @dataclass(frozen=True)
@@ -229,9 +222,24 @@ def configuration_index_tuples(
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[tuple[int, ...]]:
     """Stream the point-index tuples of C_n in lexicographic order, optionally
-    restricted to a sign class.  This is the allocation-light path used by
-    the orbit and counting code; enumerate_configurations wraps it in
-    Configuration objects.
+    restricted to a sign class.  This is the allocation-light path behind the
+    configuration and partition counts; enumerate_configurations wraps it in
+    Configuration objects.  The stream is lazy: bad arguments and the budget
+    are checked on the first next().  See _walk for how it is built."""
+    return _walk(spec, n, sign_filter, budget, cross_section=False)
+
+
+def _is_orbit_key(tup: tuple[int, ...]) -> bool:
+    """Whether a tuple starting with 0 has 1 next and 2 as its first point
+    outside {0, 1}, or no such point: the shape of every orbit key."""
+    return tup[1] == 1 and next((i for i in tup if i > 1), 2) == 2
+
+
+def _walk(
+    spec: FieldSpec, n: int, sign_filter: str, budget: int, cross_section: bool
+) -> Iterator[tuple[int, ...]]:
+    """The tuples of C_n, or with cross_section the orbit keys among them (see
+    pgl2_orbit_count), in a sign class and in lexicographic order.
 
     A loop over an explicit stack walks only the prefixes t_0..t_{m-1},
     m = n - s, with consecutive points distinct; each prefix emits its tails
@@ -248,9 +256,15 @@ def configuration_index_tuples(
     (the same in characteristic 2).  The tails it keeps are those whose own
     ratio is u: one lookup, no per-tuple product.
 
+    The full walk starts from every 1-point prefix.  The cross-section walk
+    starts from the prefixes (0, 1, ..., 2) that put the first 2 after the
+    alternation 0, 1, 0, ..., deepest first, and below them is the full walk.
+    The alternating prefix of length m is the one other prefix of a key: its
+    tails come first and are filtered by hand.
+
     Prefixes are walked in lex order and each tail list is in lex order, so
     the tuples come out in the same order as a lex-ordered product filtered
-    by cyclic adjacency and sign class.
+    by cyclic adjacency, sign class and, for the cross-section, key shape.
     """
     if sign_filter not in ("all", "plus", "minus"):
         raise ValueError(f"unknown sign filter {sign_filter!r}")
@@ -263,9 +277,17 @@ def configuration_index_tuples(
     s = 2 if n >= 5 else 1
     m = n - s
     down = range(q, -1, -1)  # children are pushed in reverse to pop in lex order
+    if cross_section:
+        alternation = ((0, 1) * n)[:m]
+        roots = [alternation[:i] + (2,) for i in range(2, m)]
+    else:
+        roots = [(v,) for v in down]
     if sign_filter == "all":
         tails = _unsigned_tails(q + 1, s)
-        stack = [(v,) for v in down]
+        if cross_section:
+            head = map(alternation.__add__, tails(alternation[-1], 0))
+            yield from filter(_is_orbit_key, head)
+        stack = roots
         while stack:
             prefix = stack.pop()
             last = prefix[-1]
@@ -282,7 +304,17 @@ def configuration_index_tuples(
     u_factors = (idets, dets)
     tails = _signed_tails(spec, s, dets, idets)
     target = 1 if sign_filter == "plus" else spec.neg_code(1)
-    stack = [((v,), target) for v in down]
+
+    def u_of(prefix):
+        u = target
+        for i in range(1, len(prefix)):
+            u = mul(u, u_factors[(i - 1) % 2][prefix[i - 1]][prefix[i]])
+        return u
+
+    if cross_section:
+        head = tails(alternation[-1], 0).get(u_of(alternation), ())
+        yield from filter(_is_orbit_key, map(alternation.__add__, head))
+    stack = [(prefix, u_of(prefix)) for prefix in roots]
     while stack:
         prefix, u = stack.pop()
         last = prefix[-1]
@@ -351,42 +383,32 @@ def _orbit_key_function(spec: FieldSpec) -> Callable[[tuple[int, ...]], tuple[in
     h(v) = (det(v_b, v_c) det(v, v_a) : det(v_b, v_a) det(v, v_c)) sends
     a, b, c to 0, 1, inf, and k = [[z, 0], [1, z - 1]] sends 0, 1, inf to
     0, 1, z, the point of index 2 (inf for q = 2, where k is the identity).
-    The permutation of k h is built in O(q) when its triple is first met
-    and kept on the spec, so later keys, in later calls too, cost O(n).  The
-    spec keeps at most ORBIT_PERMS_LIMIT of them.
+    det(v, w) is linear in v, so k h is the matrix with rows z lam det(., v_a)
+    and lam det(., v_a) + (z - 1) mu det(., v_c), lam = det(v_b, v_c) and
+    mu = det(v_b, v_a).  Each key maps only the tuple's own n points through
+    it: O(n) field operations, and nothing is kept on the spec.
     """
     q = spec.q
-    mul, add, sub, inv = spec.mul_code, spec.add_code, spec.sub_code, spec.inv_code
+    mul, add, sub = spec.mul_code, spec.add_code, spec.sub_code
+    neg, inv = spec.neg_code, spec.inv_code
     k00, k10, k11 = (2, 1, sub(2, 1)) if q > 2 else (1, 0, 1)
-    perms, limit = spec._orbit_perms, ORBIT_PERMS_LIMIT
-
-    def det(u, v):
-        return sub(mul(u[0], v[1]), mul(u[1], v[0]))
-
-    def permutation(a, b, c):
-        vec = [_canonical_vector(spec, i) for i in range(q + 1)]
-        va, vc = vec[a], vec[c]
-        lam, mu = det(vec[b], vc), det(vec[b], va)
-        x_a, y_a, y_c = mul(k00, lam), mul(k10, lam), mul(k11, mu)
-        perm = []
-        for v in vec:
-            d_a, d_c = det(v, va), det(v, vc)
-            y = add(mul(y_a, d_a), mul(y_c, d_c))
-            perm.append(mul(mul(x_a, d_a), inv(y)) if y else q)
-        return tuple(perm)
 
     def key(tup: tuple[int, ...]) -> tuple[int, ...]:
         a, b = tup[0], tup[1]
-        for c in tup:
-            if c != a and c != b:
-                try:
-                    perm = perms[a, b, c]
-                except KeyError:
-                    if len(perms) >= limit:
-                        perms.clear()
-                    perm = perms[a, b, c] = permutation(a, b, c)
-                return tuple([perm[i] for i in tup])
-        return tuple([0 if i == a else 1 for i in tup])
+        c = next((c for c in tup if c != a and c != b), None)
+        if c is None:
+            return tuple([0 if i == a else 1 for i in tup])
+        (a0, a1), (b0, b1), (c0, c1) = (_canonical_vector(spec, i) for i in (a, b, c))
+        lam, mu = sub(mul(b0, c1), mul(b1, c0)), sub(mul(b0, a1), mul(b1, a0))
+        x_a, y_a, y_c = mul(k00, lam), mul(k10, lam), mul(k11, mu)
+        m00, m01 = mul(x_a, a1), neg(mul(x_a, a0))
+        m10 = add(mul(y_a, a1), mul(y_c, c1))
+        m11 = neg(add(mul(y_a, a0), mul(y_c, c0)))
+        out = []
+        for i in tup:
+            x, y = (m00, m10) if i == q else (add(mul(m00, i), m01), add(mul(m10, i), m11))
+            out.append(mul(x, inv(y)) if y else q)
+        return tuple(out)
 
     return key
 
@@ -397,19 +419,31 @@ def pgl2_orbit_count(
     sign_filter: str = "all",
     budget: int = DEFAULT_BUDGET,
 ) -> OrbitSummary:
-    """Partition the configurations into PGL2 orbits by canonical-representative
-    hashing: each tuple's orbit key is its lexicographically smallest image,
-    computed in O(n) by sharp 3-transitivity (see _orbit_key_function)."""
-    key = _orbit_key_function(spec)
-    counter = Counter(map(key, configuration_index_tuples(spec, n, sign_filter, budget)))
-    reps = sorted(counter)
+    """Partition the configurations into PGL2 orbits by walking one
+    representative per orbit: its key, the lexicographically smallest image
+    (see _orbit_key_function).
+
+    PGL2 acts freely on the configurations with at least three distinct
+    points, so their keys form a cross-section of the action: the tuples of
+    C_n that start (0, 1) and whose first point outside {0, 1} is 2, each
+    standing for q^3 - q configurations.  For even n the alternation
+    (0, 1, ..., 0, 1) stands for the q(q + 1) two-point configurations; it is
+    the smallest key, so it comes first.  The sign class is PGL2-invariant,
+    so a signed count walks the keys in its class.  _walk streams the keys in
+    lex order, about q^(n-3) tuples where C_n has about q^n; the budget still
+    refuses (q+1)^n candidates above it, like configuration_index_tuples."""
+    keys = tuple(_walk(spec, n, sign_filter, budget, cross_section=True))
+    q = spec.q
+    sizes = [q**3 - q] * len(keys)
+    if keys and max(keys[0]) < 2:
+        sizes[0] = q * (q + 1)
     return OrbitSummary(
         spec,
         n,
         sign_filter,
-        len(reps),
-        tuple(Configuration.from_indices(spec, rep) for rep in reps),
-        tuple(counter[rep] for rep in reps),
+        len(keys),
+        tuple(Configuration.from_indices(spec, key) for key in keys),
+        tuple(sizes),
     )
 
 
@@ -595,6 +629,6 @@ def frieze_to_configuration(row: FirstRow) -> Configuration:
 
 def orbit_of(config: Configuration) -> tuple[int, ...]:
     """Canonical representative (as point indices) of the PGL2 orbit: the
-    lexicographically smallest image, by the same key as pgl2_orbit_count.
-    Costs O(q) for a triple not yet met on this spec and O(n) after."""
+    lexicographically smallest image, the key whose cross-section
+    pgl2_orbit_count walks.  Maps the n points through one Möbius map, O(n)."""
     return _orbit_key_function(config.spec)(config.indices)

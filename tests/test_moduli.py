@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 
@@ -30,7 +31,6 @@ from friezes.formulas import (
     count_moduli_plus,
     count_signed_configurations,
 )
-from friezes import moduli
 from friezes.gf import pgl2_point_permutations
 from friezes.moduli import (
     _det_table,
@@ -41,7 +41,7 @@ from friezes.moduli import (
 )
 from friezes.search import enumerate_friezes
 
-from helpers import PRIME_POWERS_LE_9, field_by_q
+from helpers import PRIME_POWERS_LE_9, field_by_q, keyed_orbit_count
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -253,7 +253,7 @@ def test_orbit_key_invariant_on_larger_fields(p, k):
         assert key[:2] == (0, 1)
         assert next((i for i in key if i > 1), 2) == 2
         keys[t] = key
-    for t, key in keys.items():  # every triple met above is cached on the spec now
+    for t, key in keys.items():  # a second call gives the same key
         assert orbit_of(config(spec, t)) == key
 
 
@@ -453,21 +453,55 @@ def test_frieze_points_match_the_vector_recursion():
                 assert cfg.indices == tuple(p.index for p in points)
 
 
-def test_orbit_perms_cache_is_bounded():
-    # GF(27) has 28 * 27 * 26 = 19656 ordered triples, above the limit
+def test_orbit_key_matches_group_scan_on_gf27():
+    # the smallest image over all q^3 - q = 19656 elements of PGL2(27), on
+    # random tuples whose triples are almost all distinct
     spec = FieldSpec(3, 3)
-    assert pgl2_orbit_count(spec, 3).count == count_moduli(27, 3)
-    assert 0 < len(spec._orbit_perms) <= moduli.ORBIT_PERMS_LIMIT
-
-
-def test_orbit_keys_do_not_depend_on_the_cache_limit(monkeypatch):
+    perms = pgl2_point_permutations(spec)
     rng = random.Random(27)
-    tuples = [_random_configuration(rng, 27, rng.randint(3, 7)) for _ in range(400)]
-    unbounded = FieldSpec(3, 3)
-    keys = [orbit_of(config(unbounded, t)) for t in tuples]
-    monkeypatch.setattr(moduli, "ORBIT_PERMS_LIMIT", 16)
-    bounded = FieldSpec(3, 3)
-    for t, key in zip(tuples, keys):
-        assert orbit_of(config(bounded, t)) == key
-        assert len(bounded._orbit_perms) <= 16
-    assert len(unbounded._orbit_perms) > 16
+    for _ in range(100):
+        t = _random_configuration(rng, 27, rng.randint(3, 7))
+        assert orbit_of(config(spec, t)) == min(map(itemgetter(*t), perms))
+
+
+@pytest.mark.parametrize("p, k", [(2, 8), (257, 1)])
+def test_orbit_key_invariant_under_mobius_maps_on_gf256_and_gf257(p, k):
+    spec = FieldSpec(p, k)
+    rng = random.Random(spec.q)
+    for _ in range(40):
+        t = _random_configuration(rng, spec.q, rng.randint(3, 8))
+        g = _random_invertible(rng, spec)
+        moved = tuple(g.act(ProjPoint.from_index(spec, i)).index for i in t)
+        key = orbit_of(config(spec, t))
+        assert orbit_of(config(spec, moved)) == key
+        assert orbit_of(config(spec, key)) == key
+
+
+ORACLE_CASES = [
+    (q, n, sign)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+    for n in range(2, 20)
+    if (q + 1) ** n <= 2 * 10**5
+    for sign in (("all", "plus", "minus") if n % 2 == 0 else ("all",))
+]
+
+
+def test_orbit_walk_matches_the_keyed_count():
+    # the keyed count visits all of C_n and keys every configuration
+    assert len(ORACLE_CASES) == 103
+    for q, n, sign in ORACLE_CASES:
+        summary = pgl2_orbit_count(field_by_q(q), n, sign)
+        reps, sizes = keyed_orbit_count(field_by_q(q), n, sign)
+        assert [rep.indices for rep in summary.representatives] == reps, (q, n, sign)
+        assert list(summary.sizes) == sizes, (q, n, sign)
+        assert summary.count == len(reps)
+
+
+def test_orbit_representatives_are_their_own_keys():
+    # the walked cross-section is made of fixed points of the key that
+    # map --to frieze compares, in strictly increasing order
+    for q, n, sign in ORACLE_CASES:
+        reps = [rep.indices for rep in pgl2_orbit_count(field_by_q(q), n, sign).representatives]
+        assert all(a < b for a, b in zip(reps, reps[1:])), (q, n, sign)
+        for rep in reps:
+            assert orbit_of(config(field_by_q(q), rep)) == rep
