@@ -27,8 +27,13 @@ completions read table rows too (_mul[p01], _add[1], ...), with a code-op
 branch for fields above gf.TABLE_LIMIT.  Rows stay code tuples; only orbit
 representatives become FirstRows.
 
-Both return identical, lexicographically sorted results, with the chunks of
-each first code concatenated in code order.  The search runs in one thread.
+Both search only min-first rows, whose first code is their smallest: the
+smallest member of a dihedral orbit is one, so they are enough for the
+catalog.  Chunk c holds the rows with a_1 = c and every code >= c, found by
+stepping only children >= c and keeping solved entries >= c; mitm shares one
+table whose entries carry min(mid).  Both strategies give identical,
+lexicographically sorted rows, the chunks concatenated in code order, and so
+identical catalogs.  The search runs in one thread.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import json
 import time
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .formulas import count_friezes
@@ -62,11 +68,22 @@ class EnumerationResult:
     orbits: list[tuple[FirstRow, int]]
     elapsed: float
     strategy: str
-    tuples: list[tuple[int, ...]] | None = None
+    keep_tuples_below: int
 
     @property
     def orbit_sizes(self) -> list[int]:
         return sorted(size for _, size in self.orbits)
+
+    @cached_property
+    def tuples(self) -> list[tuple[int, ...]] | None:
+        """Every row, as sorted code tuples: the union of the orbits, built
+        on first use while total_count <= keep_tuples_below, else None."""
+        if self.total_count > self.keep_tuples_below:
+            return None
+        rows = set()
+        for rep, _ in self.orbits:
+            rows |= dihedral_orbit_codes(rep.codes)
+        return sorted(rows)
 
 
 def _estimated_work(q: int, n: int, strategy: str) -> int:
@@ -76,43 +93,48 @@ def _estimated_work(q: int, n: int, strategy: str) -> int:
     return 2 * (q**nl + q ** (n - nl))
 
 
-def _prefix_products(spec: FieldSpec, length: int, firsts) -> list[tuple]:
-    """Every prefix (a_1, ..., a_length) with a_1 in firsts, in lex order, as
-    (prefix, p00, p01, p10, p11) with P = M(a_length)...M(a_1): a flat walk
-    that steps P -> M(a) P for a whole level at a time.  The children of one
-    parent read their new first row (a p00 - p10, a p01 - p11) from two
-    line_codes rows."""
+def _prefix_products(spec: FieldSpec, length: int, firsts, low: int = 0) -> list[tuple]:
+    """Every prefix (a_1, ..., a_length) with a_1 in firsts and later codes
+    >= low, in lex order, as (prefix, p00, p01, p10, p11) with
+    P = M(a_length)...M(a_1): a flat walk that steps P -> M(a) P for a whole
+    level at a time.  The children of one parent read their new first row
+    (a p00 - p10, a p01 - p11) from two line_codes rows, sliced at low."""
     line = spec.line_codes
-    codes = range(spec.q)
+    codes = range(low, spec.q)
     neg1 = spec.neg_code(1)
     level = [((x,), x, neg1, 1, 0) for x in firsts]
     for _ in range(length - 1):
         level = [
             (prefix + (x,), y0, y1, p00, p01)
             for prefix, p00, p01, p10, p11 in level
-            for x, y0, y1 in zip(codes, line(p00, p10), line(p01, p11))
+            for x, y0, y1 in zip(codes, line(p00, p10)[low:], line(p01, p11)[low:])
         ]
     return level
 
 
 def _naive_chunk(spec: FieldSpec, n: int, first: int) -> list[tuple[int, ...]]:
-    """Rows with a_1 = first, in lex order: a_2..a_{n-3} are scanned and the
-    last three entries solved from the prefix product."""
+    """The min-first rows with a_1 = first, in lex order: a_2..a_{n-3} are
+    scanned over the codes >= first, and the last three entries are solved
+    from the prefix product and kept when all three are >= first."""
     codes = range(spec.q)
     neg = spec.neg_code
     neg1 = neg(1)
-    leaves = _prefix_products(spec, n - 3, (first,))
+    leaves = _prefix_products(spec, n - 3, (first,), first)
     out = []
     # M(z) M(p00) M(y) = -P^(-1) = [[-p11, p01], [p10, -p00]] needs
     # y p00 = 1 + p10 and gives z = p11 - y p01; det P = 1 does the rest.
-    # When p00 = 0 every y works and the z are the row -p01 y + p11.
+    # a_{n-1} = p00 must be >= first.  When p00 = 0 every y works and the z
+    # are the row -p01 y + p11; only chunk 0 keeps those rows.
+    least = max(first, 1)
     if spec._mul is not None:
         mul, sub, inv, inc = spec._mul, spec._sub, spec._inv, spec._add[1]
         for prefix, p00, p01, p10, p11 in leaves:
-            if p00:
+            if p00 >= least:
                 y = mul[inc[p10]][inv[p00]]
-                out.append(prefix + (y, p00, sub[p11][mul[y][p01]]))
-            elif p10 == neg1:
+                z = sub[p11][mul[y][p01]]
+                if y >= first and z >= first:
+                    out.append(prefix + (y, p00, z))
+            elif p10 == neg1 and not first:
                 out += [
                     prefix + (y, 0, z)
                     for y, z in zip(codes, spec.line_codes(neg(p01), neg(p11)))
@@ -120,10 +142,12 @@ def _naive_chunk(spec: FieldSpec, n: int, first: int) -> list[tuple[int, ...]]:
         return out
     mul, add, sub, inv = spec.mul_code, spec.add_code, spec.sub_code, spec.inv_code
     for prefix, p00, p01, p10, p11 in leaves:
-        if p00:
+        if p00 >= least:
             y = mul(add(1, p10), inv(p00))
-            out.append(prefix + (y, p00, sub(p11, mul(y, p01))))
-        elif p10 == neg1:
+            z = sub(p11, mul(y, p01))
+            if y >= first and z >= first:
+                out.append(prefix + (y, p00, z))
+        elif p10 == neg1 and not first:
             out += [
                 prefix + (y, 0, z)
                 for y, z in zip(codes, spec.line_codes(neg(p01), neg(p11)))
@@ -134,39 +158,73 @@ def _naive_chunk(spec: FieldSpec, n: int, first: int) -> list[tuple[int, ...]]:
 def _mitm_table(spec: FieldSpec, nr: int):
     """Middle products R = M(a_{n-1})...M(a_{nl+1}) keyed by (r00, -r01), R's
     first row with its second entry negated.  Each bucket lists
-    (mid, -r10, -r11) with mid = (a_{nl+1}, ..., a_{n-1}), in lex order of
-    mid.  The signs are those _mitm_chunk needs, so it negates nothing."""
+    (mid, -r10, -r11, min(mid)) with mid = (a_{nl+1}, ..., a_{n-1}), in lex
+    order of mid.  The signs are those _mitm_chunk needs, so it negates
+    nothing; the min tag lets every chunk share this one table."""
     neg = [spec.neg_code(x) for x in range(spec.q)]
     table = defaultdict(list)
     for mid, r00, r01, r10, r11 in _prefix_products(spec, nr, range(spec.q)):
-        table[(r00, neg[r01])].append((mid, neg[r10], neg[r11]))
+        table[(r00, neg[r01])].append((mid, neg[r10], neg[r11], min(mid)))
     return dict(table)
 
 
 def _mitm_chunk(spec: FieldSpec, nl: int, first: int, table) -> list[tuple[int, ...]]:
-    """Rows with a_1 = first, in lex order: each left product L is completed
-    by the table bucket at R's forced first row, and a_n is solved."""
+    """The min-first rows with a_1 = first, in lex order.  Left prefixes are
+    walked over the codes >= first to one level short of the leaves L; each
+    child x looks up the bucket at R's forced first row before its leaf is
+    built, and of a bucket it hits keeps the entries whose min tag and
+    solved a_n are >= first."""
     out = []
-    empty = ()
     get = table.get
-    # R L = [[0, -1], [1, -a_n]]: R's first row is (p10, -p00), so the key
-    # (r00, -r01) is (p10, p00); the (1, 0) entry follows from
-    # det R = det L = 1 and gives a_n = (-r10) p01 + (-r11) p11
-    leaves = _prefix_products(spec, nl, (first,))
+    codes = range(first, spec.q)
+    line = spec.line_codes
+    # The leaf of parent P and child x has rows (l00, l01) = (x p00 - p10,
+    # x p01 - p11) and (l10, l11) = (p00, p01).  R L = [[0, -1], [1, -a_n]]:
+    # R's first row is (l10, -l00), so the key (r00, -r01) is (p00, l00);
+    # the (1, 0) entry follows from det R = det L = 1 and gives
+    # a_n = (-r10) l01 + (-r11) l11.
+    parents = _prefix_products(spec, nl - 1, (first,), first)
     if spec._mul is not None:
-        mul, add = spec._mul, spec._add
-        for prefix, p00, p01, p10, p11 in leaves:
-            bucket = get((p10, p00), empty)
-            if bucket:
-                m01, m11 = mul[p01], mul[p11]
-                for mid, s10, s11 in bucket:
-                    out.append(prefix + mid + (add[m01[s10]][m11[s11]],))
+        mul, add, sub = spec._mul, spec._add, spec._sub
+        for prefix, p00, p01, p10, p11 in parents:
+            for x, l00 in zip(codes, line(p00, p10)[first:]):
+                bucket = get((p00, l00))
+                if bucket:
+                    leaf = prefix + (x,)
+                    m01, m11 = mul[sub[mul[x][p01]][p11]], mul[p01]
+                    for mid, s10, s11, least in bucket:
+                        if least >= first:
+                            a_n = add[m01[s10]][m11[s11]]
+                            if a_n >= first:
+                                out.append(leaf + mid + (a_n,))
         return out
-    mul, add = spec.mul_code, spec.add_code
-    for prefix, p00, p01, p10, p11 in leaves:
-        for mid, s10, s11 in get((p10, p00), empty):
-            out.append(prefix + mid + (add(mul(s10, p01), mul(s11, p11)),))
+    mul, add, sub = spec.mul_code, spec.add_code, spec.sub_code
+    for prefix, p00, p01, p10, p11 in parents:
+        for x, l00 in zip(codes, line(p00, p10)[first:]):
+            for mid, s10, s11, least in get((p00, l00), ()):
+                if least >= first:
+                    a_n = add(mul(s10, sub(mul(x, p01), p11)), mul(s11, p01))
+                    if a_n >= first:
+                        out.append(prefix + (x,) + mid + (a_n,))
     return out
+
+
+def _min_first_images(t: tuple[int, ...]) -> tuple[set[tuple[int, ...]], int]:
+    """The images of the row t under rotation and reversal that start with
+    m = t[0], and the size of t's whole dihedral orbit.  The rotations that
+    start with m are the slices at the positions i with t[i] = m, each
+    distinct one met n / p times, p the number of distinct rotations.  The
+    reflected images are those of the reversal; they make the orbit 2p,
+    unless the two sets meet, and then they are one set."""
+    n, m = len(t), t[0]
+    twice = t + t
+    rev = twice[::-1]
+    starts = [i for i, x in enumerate(t) if x == m]
+    rotations = {twice[i : i + n] for i in starts}
+    reflections = {rev[n - 1 - i : 2 * n - 1 - i] for i in starts}
+    p = len(rotations) * n // len(starts)
+    size = 2 * p if rotations.isdisjoint(reflections) else p
+    return rotations | reflections, size
 
 
 def enumerate_friezes(
@@ -175,15 +233,18 @@ def enumerate_friezes(
     strategy: str = "mitm",
     config: SearchConfig = SearchConfig(),
 ) -> EnumerationResult:
-    """All first rows of tame friezes of the given width, with dihedral
-    orbit catalog.  Solutions are retained as sorted tuples of element codes
-    while their number stays below config.keep_tuples_below.
+    """All tame friezes of the given width, as their dihedral orbit catalog.
 
-    The catalog is one walk over the sorted solutions, which relies on the
-    solution set being closed under rotation and reversal of rows, as the
-    frieze condition is.  The first solution still unmarked is the smallest
-    member of its orbit; its orbit is built once and each member is removed
-    from the unmarked set."""
+    The smallest member of an orbit starts with its smallest code, so the
+    search looks only for min-first rows (a_1 = min of the row): chunk c
+    walks the codes >= c and keeps the rows with a_1 = c.  Chunks come in
+    code order, each sorted, so the rows are sorted, and one walk over them
+    builds the catalog.  The first row still unmarked is the smallest member
+    of its orbit; its min-first images are built and removed from the
+    unmarked set, and the orbit's size comes from them.  An image that was
+    not found means the rows are not closed under rotation and reversal, as
+    the frieze condition makes them.  total_count is the sum of the sizes,
+    and result.tuples lists every row again, from the orbits, on first use."""
     if width < 1:
         raise ValueError("enumeration needs width >= 1")
     if strategy not in ("naive", "mitm"):
@@ -195,35 +256,32 @@ def enumerate_friezes(
             f"estimated {work} matrix operations exceed budget {config.budget}"
         )
     start = time.perf_counter()
-    # chunks are concatenated in first-code order, each sorted, so this is sorted
-    solutions = []
+    rows = []
     if strategy == "naive":
         for first in range(spec.q):
-            solutions += _naive_chunk(spec, n, first)
+            rows += _naive_chunk(spec, n, first)
     else:
         nl = n // 2
         table = _mitm_table(spec, n - 1 - nl)
         for first in range(spec.q):
-            solutions += _mitm_chunk(spec, nl, first, table)
+            rows += _mitm_chunk(spec, nl, first, table)
         del table
-    total = len(solutions)
-    unmarked = dict.fromkeys(solutions)
+    unmarked = set(rows)
     orbits = []
-    for t in solutions:
+    total = 0
+    for t in rows:
         if t not in unmarked:
             continue
-        # every earlier member of t's orbit would have removed it: t is the
-        # orbit's smallest member
-        orbit = dihedral_orbit_codes(t)
-        for member in orbit:
-            try:
-                unmarked.pop(member)
-            except KeyError:
-                raise AssertionError("solutions not dihedral-closed") from None
-        orbits.append((FirstRow(spec, t), len(orbit)))
-    tuples = solutions if total <= config.keep_tuples_below else None
+        images, size = _min_first_images(t)
+        if not images <= unmarked:
+            raise AssertionError("solutions not dihedral-closed")
+        unmarked -= images
+        orbits.append((FirstRow(spec, t), size))
+        total += size
     elapsed = time.perf_counter() - start
-    return EnumerationResult(spec, width, total, orbits, elapsed, strategy, tuples)
+    return EnumerationResult(
+        spec, width, total, orbits, elapsed, strategy, config.keep_tuples_below
+    )
 
 
 @dataclass(frozen=True)

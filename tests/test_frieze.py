@@ -19,6 +19,7 @@ from friezes import (
     render_frieze,
 )
 from friezes.frieze import dihedral_orbit_codes, frieze_to_json_dict, row_products
+from friezes.search import _min_first_images
 
 from helpers import field_by_q
 
@@ -308,3 +309,14 @@ def test_dihedral_orbit_codes_match_the_definition(codes):
     orbit = dihedral_orbit_codes(codes)
     assert orbit == _dihedral_images(codes)
     assert 2 * len(codes) % len(orbit) == 0  # it divides the order of D_n
+
+
+@settings(deadline=None, max_examples=300)
+@given(_rows())
+def test_min_first_images_are_the_orbit_images_starting_with_t0(codes):
+    # the search's orbit walk builds only these images and sizes the orbit
+    # from them; small alphabets make the first code repeat
+    orbit = dihedral_orbit_codes(codes)
+    images, size = _min_first_images(codes)
+    assert images == {image for image in orbit if image[0] == codes[0]}
+    assert size == len(orbit)

@@ -17,9 +17,12 @@ from friezes import (
     matrix_criterion,
     verify_count_formula,
 )
+from friezes import search
 from friezes.formulas import count_friezes
 from friezes.frieze import dihedral_orbit_codes, row_products
+from friezes.gf import parse_field_descriptor
 from friezes.search import (
+    _min_first_images,
     _mitm_chunk,
     _mitm_table,
     _naive_chunk,
@@ -27,7 +30,7 @@ from friezes.search import (
     enumeration_to_json_dict,
 )
 
-from helpers import field_by_q
+from helpers import field_by_q, full_rows
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -105,9 +108,14 @@ def test_strategies_agree_without_op_tables():
 
 
 def test_tuples_are_sorted_and_unique():
-    result = enumerate_friezes(F3, 3)
-    assert result.tuples == sorted(set(result.tuples))
-    assert len(result.tuples) == result.total_count
+    # the full search finds every row once, in lex order, and the result
+    # rebuilds the same list from its orbits
+    for strategy in ("naive", "mitm"):
+        rows = full_rows(F3, 3, strategy)
+        assert rows == sorted(set(rows))
+        result = enumerate_friezes(F3, 3, strategy)
+        assert result.tuples == rows
+        assert len(rows) == result.total_count
 
 
 def test_result_invariants():
@@ -125,11 +133,11 @@ def test_result_invariants():
 
 
 def test_solution_set_closed_under_dihedral_action():
-    for spec, w in ((F2, 3), (F3, 2)):
-        result = enumerate_friezes(spec, w)
-        solutions = set(result.tuples)
-        for t in solutions:
-            assert dihedral_orbit_codes(t) <= solutions
+    for spec, w in ((F2, 3), (F3, 2), (F3, 4)):
+        for strategy in ("naive", "mitm"):
+            solutions = set(full_rows(spec, w, strategy))
+            for t in solutions:
+                assert dihedral_orbit_codes(t) <= solutions
 
 
 def test_orbit_walk_matches_per_tuple_canonicalization():
@@ -138,7 +146,7 @@ def test_orbit_walk_matches_per_tuple_canonicalization():
     cases = [(F2, w) for w in range(1, 11)] + [(F3, w) for w in range(1, 6)]
     for spec, w in cases:
         result = enumerate_friezes(spec, w)
-        per_tuple = Counter(min(dihedral_orbit_codes(t)) for t in result.tuples)
+        per_tuple = Counter(min(dihedral_orbit_codes(t)) for t in full_rows(spec, w, "mitm"))
         assert [(rep.codes, size) for rep, size in result.orbits] == sorted(per_tuple.items())
         assert any(size < 2 * (w + 3) for _, size in result.orbits)
         dropped = enumerate_friezes(spec, w, config=SearchConfig(keep_tuples_below=0))
@@ -258,22 +266,108 @@ def test_mitm_chunk_on_an_untabled_extension():
     spec = FieldSpec(17, 2)
     assert spec._mul is None
     table = _mitm_table(spec, 1)
-    found = 0
-    for first in (0, 1, 2, 17, 200, 288):
+    firsts = (0, 1, 2, 17, 200, 288)
+    found = []
+    for first in firsts:
         rows = _mitm_chunk(spec, 2, first, table)
         assert rows == _naive_chunk(spec, 4, first)
         assert all(matrix_criterion(FirstRow(spec, r))[0] for r in rows)
-        found += len(rows)
-    # width-1 rows are (x, 2/x, x, 2/x): one per nonzero first entry
-    assert found == 5
+        found += rows
+    # width-1 rows are (x, 2/x, x, 2/x), one per nonzero first entry, and
+    # chunk x keeps the one whose smallest code is x
+    halves = [(x, spec.mul_code(2, spec.inv_code(x))) for x in firsts[1:]]
+    assert found == [(x, y, x, y) for x, y in halves if y >= x]
+    assert len(found) == 3
 
 
 def test_chunks_agree_on_an_untabled_prime_at_width_2():
-    # on GF(257), first = -1 gives p00 = 0 after a_2 = -1, where the naive
-    # chunk completes with all q values of a_3
+    # on GF(257) each chunk holds the rows of the full search whose first
+    # code is their smallest; the full search's first = -1 gives p00 = 0
+    # after a_2 = -1, where its completions take all q values of a_3, and
+    # those rows have a smaller code than their first
     spec = FieldSpec(257)
+    full = full_rows(spec, 2, "naive")
+    assert sum(row[0] == 256 and row[3] == 0 for row in full) == 257
     table = _mitm_table(spec, 2)
-    for first in (1, 256):
+    for first in (0, 1, 128, 256):
         rows = _mitm_chunk(spec, 2, first, table)
         assert rows == _naive_chunk(spec, 5, first)
-    assert sum(row[3] == 0 for row in rows) == 257
+        assert rows == [row for row in full if row[0] == first == min(row)]
+
+
+def test_chunk_zero_completes_p00_zero_on_an_untabled_prime():
+    # a_1 = 0 and a_3 = 0 give p00 = 0, and the naive chunk completes those
+    # prefixes with all q values of a_4: the q^2 rows (0, b, 0, y, 0, z), the
+    # only rows of chunk 0 with a_5 = 0
+    spec = FieldSpec(257)
+    rows = _naive_chunk(spec, 6, 0)
+    assert rows == _mitm_chunk(spec, 3, 0, _mitm_table(spec, 2))
+    assert sum(row[4] == 0 for row in rows) == 257**2
+
+
+@pytest.mark.parametrize("q, w", [(2, 7), (3, 4), (4, 3), (5, 3), (7, 2), (16, 1)])
+def test_chunks_hold_the_min_first_rows(q, w):
+    spec = field_by_q(q)
+    n = w + 3
+    full = full_rows(spec, w, "naive")
+    table = _mitm_table(spec, n - 1 - n // 2)
+    for first in range(q):
+        expected = [row for row in full if row[0] == first == min(row)]
+        assert _naive_chunk(spec, n, first) == expected
+        assert _mitm_chunk(spec, n // 2, first, table) == expected
+
+
+# (field, widths): from GF(2) at w <= 11 to the untabled GF(257), GF(17^2)
+# and GF(3^5); 41 cases, 82 with both strategies
+CATALOG_MENU = [
+    ("2", range(1, 12)),
+    ("3", range(1, 7)),
+    ("2^2", range(1, 6)),
+    ("5", range(1, 5)),
+    ("7", range(1, 4)),
+    ("2^3", range(1, 3)),
+    ("3^2", range(1, 3)),
+    ("11", range(1, 3)),
+    ("13", range(1, 3)),
+    ("2^4", range(1, 3)),
+    ("257", (1,)),
+    ("17^2", (1,)),
+    ("3^5", (1,)),
+]
+
+
+@pytest.mark.parametrize("descriptor, widths", CATALOG_MENU)
+def test_min_first_catalog_matches_the_full_rows(descriptor, widths):
+    spec = parse_field_descriptor(descriptor)
+    for w in widths:
+        for strategy in ("naive", "mitm"):
+            rows = full_rows(spec, w, strategy)
+            per_tuple = Counter(min(dihedral_orbit_codes(t)) for t in rows)
+            result = enumerate_friezes(spec, w, strategy)
+            assert [(rep.codes, size) for rep, size in result.orbits] == sorted(
+                per_tuple.items()
+            )
+            assert result.total_count == len(rows)
+
+
+@pytest.mark.parametrize("strategy, chunk", [("naive", "_naive_chunk"), ("mitm", "_mitm_chunk")])
+@pytest.mark.parametrize("pick", [0, -1])
+def test_a_missing_min_first_row_breaks_dihedral_closure(monkeypatch, strategy, chunk, pick):
+    # drop the first (an orbit's smallest member) or the last row of a chunk
+    # whose orbit has another min-first image: the walk meets that image
+    # and misses the dropped row
+    original = getattr(search, chunk)
+    dropped = []
+
+    def drop_one(*args):
+        rows = original(*args)
+        shared = [row for row in rows if len(_min_first_images(row)[0]) > 1]
+        if shared and not dropped:
+            dropped.append(shared[pick])
+            rows.remove(shared[pick])
+        return rows
+
+    monkeypatch.setattr(search, chunk, drop_one)
+    with pytest.raises(AssertionError, match="not dihedral-closed"):
+        enumerate_friezes(F3, 3, strategy)
+    assert len(dropped) == 1
