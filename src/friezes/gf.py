@@ -479,9 +479,6 @@ class ProjPoint:
     def is_infinity(self) -> bool:
         return self.y == 0
 
-    def coords(self) -> tuple[FieldElement, FieldElement]:
-        return FieldElement(self.spec, self.x), FieldElement(self.spec, self.y)
-
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
@@ -526,11 +523,6 @@ class Mat2:
     @classmethod
     def identity(cls, spec: FieldSpec) -> "Mat2":
         return cls.from_codes(spec, (1, 0, 0, 1))
-
-    @classmethod
-    def neg_identity(cls, spec: FieldSpec) -> "Mat2":
-        n1 = spec.neg_code(1)
-        return cls.from_codes(spec, (n1, 0, 0, n1))
 
     @property
     def codes(self) -> tuple[int, int, int, int]:

@@ -12,8 +12,12 @@ the frieze correspondence needs.  In characteristic 2 the two classes
 coincide.
 
 A Configuration stores point indices 0..q and builds ProjPoints only in
-Configuration.points; frieze_to_configuration reads them off the SL2 step
-frieze.row_products.
+Configuration.points.  Every determinant is _det: det(v_i, v_j) of the
+canonical lifts (x : 1) -> (x, 1), (1 : 0) -> (1, 0), read by the signed
+walk's table, the sign class, the orbit key and the lift.  Both directions
+of the correspondence run on codes: configuration_to_frieze expands the
+lift's scalars, frieze_to_configuration reads the SL2 step
+frieze.row_products; lift_configuration is the FieldElement view.
 """
 
 from __future__ import annotations
@@ -99,34 +103,34 @@ def parse_points(spec: FieldSpec, labels: Sequence[str]) -> Configuration:
     return Configuration.from_indices(spec, indices)
 
 
-def _det_table(spec: FieldSpec) -> list[list[int]]:
-    """det of the canonical lifts of each pair of points: (x : 1) -> (x, 1)
-    and (1 : 0) -> (1, 0)."""
+def _det(spec: FieldSpec, i: int, j: int) -> int:
+    """det(v_i, v_j) of the canonical lifts of points i and j, (x : 1) ->
+    (x, 1) and (1 : 0) -> (1, 0): the one place this convention is written."""
     q = spec.q
-    sub, neg = spec.sub_code, spec.neg_code
-    table = [[0] * (q + 1) for _ in range(q + 1)]
-    for i in range(q):
-        for j in range(q):
-            table[i][j] = sub(i, j)
-        table[i][q] = neg(1)
-        table[q][i] = 1
-    return table
+    if j == q:
+        return 0 if i == q else spec.neg_code(1)
+    return 1 if i == q else spec.sub_code(i, j)
 
 
-def _sign_products(spec: FieldSpec, dets, tup: tuple[int, ...]) -> tuple[int, int]:
-    """Products of odd- and even-indexed D_i (1-based), with the twist on D_n."""
-    mul, neg = spec.mul_code, spec.neg_code
+def _det_table(spec: FieldSpec) -> list[list[int]]:
+    """_det of every pair of points, for the signed walk's tail tables."""
+    points = range(spec.q + 1)
+    return [[_det(spec, i, j) for j in points] for i in points]
+
+
+def _sign_products(spec: FieldSpec, tup: tuple[int, ...]) -> tuple[int, int, list[int]]:
+    """Products of the odd- and even-indexed D_i (1-based) and the n dets
+    D_1..D_n themselves, with the twist D_n = det(v_n, -v_1) = det(v_1, v_n)."""
+    mul = spec.mul_code
     n = len(tup)
+    dets = [_det(spec, tup[i], tup[i + 1]) for i in range(n - 1)]
+    dets.append(_det(spec, tup[0], tup[n - 1]))
     podd = peven = 1
-    for i in range(n):
-        d = dets[tup[i]][tup[(i + 1) % n]]
-        if i == n - 1:
-            d = neg(d)
-        if i % 2 == 0:
-            podd = mul(podd, d)
-        else:
-            peven = mul(peven, d)
-    return podd, peven
+    for d in dets[::2]:
+        podd = mul(podd, d)
+    for d in dets[1::2]:
+        peven = mul(peven, d)
+    return podd, peven, dets
 
 
 def _check_budget(spec: FieldSpec, n: int, budget: int):
@@ -346,7 +350,7 @@ def sign_class(config: Configuration) -> SignClass:
     if config.n % 2:
         raise OddN("sign classes only exist for even n")
     spec = config.spec
-    podd, peven = _sign_products(spec, _det_table(spec), config.indices)
+    podd, peven, _ = _sign_products(spec, config.indices)
     if podd == peven:
         return SignClass.PLUS
     if podd == spec.neg_code(peven):
@@ -364,9 +368,6 @@ class OrbitSummary:
     count: int
     representatives: tuple[Configuration, ...]
     sizes: tuple[int, ...]
-
-    def size_multiset(self) -> list[int]:
-        return sorted(self.sizes)
 
 
 def _orbit_key_function(spec: FieldSpec) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
@@ -398,8 +399,8 @@ def _orbit_key_function(spec: FieldSpec) -> Callable[[tuple[int, ...]], tuple[in
         c = next((c for c in tup if c != a and c != b), None)
         if c is None:
             return tuple([0 if i == a else 1 for i in tup])
-        (a0, a1), (b0, b1), (c0, c1) = (_canonical_vector(spec, i) for i in (a, b, c))
-        lam, mu = sub(mul(b0, c1), mul(b1, c0)), sub(mul(b0, a1), mul(b1, a0))
+        (a0, a1), (c0, c1) = _canonical_vector(spec, a), _canonical_vector(spec, c)
+        lam, mu = _det(spec, b, c), _det(spec, b, a)
         x_a, y_a, y_c = mul(k00, lam), mul(k10, lam), mul(k11, mu)
         m00, m01 = mul(x_a, a1), neg(mul(x_a, a0))
         m10 = add(mul(y_a, a1), mul(y_c, c1))
@@ -488,31 +489,18 @@ def _canonical_vector(spec: FieldSpec, point_index: int) -> tuple[int, int]:
     return (1, 0) if point_index == spec.q else (point_index, 1)
 
 
-def lift_configuration(config: Configuration) -> Lift:
-    """Equal-determinant antiperiodic lift of the configuration.
+def _lift_scalars(spec: FieldSpec, tup: tuple[int, ...]) -> tuple[list[int], int]:
+    """The codes of the rescaling factors lam_i and the common determinant c
+    of the equal-determinant antiperiodic lift V_i = lam_i v_{t_i}.
 
     Exists always for odd n; for even n exactly on the plus class.  The free
     scalar is fixed deterministically: the common determinant is chosen so
     the first rescaling factor is 1 (odd n needs no square root that way),
     and for even n the first factor is simply set to 1.
     """
-    spec = config.spec
-    n = config.n
-    indices = config.indices
-    mul, inv, neg = spec.mul_code, spec.inv_code, spec.neg_code
-    raw = [_canonical_vector(spec, i) for i in indices]
-
-    def det(u, v):
-        return spec.sub_code(mul(u[0], v[1]), mul(v[0], u[1]))
-
-    dets = [det(raw[i], raw[(i + 1) % n]) for i in range(n - 1)]
-    dets.append(det(raw[n - 1], (neg(raw[0][0]), neg(raw[0][1]))))
-    podd = peven = 1
-    for i, d in enumerate(dets):
-        if i % 2 == 0:
-            podd = mul(podd, d)
-        else:
-            peven = mul(peven, d)
+    mul, inv = spec.mul_code, spec.inv_code
+    n = len(tup)
+    podd, peven, dets = _sign_products(spec, tup)
     if n % 2:
         c = mul(podd, inv(peven))
     else:
@@ -527,14 +515,26 @@ def lift_configuration(config: Configuration) -> Lift:
         # det(lam_i V_i, lam_{i+1} V_{i+1}) = c
         lam[i + 1] = mul(mul(c, inv(dets[i])), inv(lam[i]))
     assert mul(mul(lam[n - 1], lam[0]), dets[n - 1]) == c
+    return lam, c
+
+
+def _lift_vectors(spec: FieldSpec, tup: tuple[int, ...], lam: list[int]) -> list[tuple[int, int]]:
+    """The lift V_i = lam_i v_{t_i} as code pairs."""
+    mul = spec.mul_code
+    vecs = (_canonical_vector(spec, i) for i in tup)
+    return [(mul(l, x), mul(l, y)) for l, (x, y) in zip(lam, vecs)]
+
+
+def lift_configuration(config: Configuration) -> Lift:
+    """Equal-determinant antiperiodic lift of the configuration, as field
+    elements; see _lift_scalars for when it exists and how it is chosen."""
+    spec = config.spec
+    lam, c = _lift_scalars(spec, config.indices)
+    element = spec.element
     vectors = tuple(
-        (
-            spec.element(mul(lam[i], raw[i][0])),
-            spec.element(mul(lam[i], raw[i][1])),
-        )
-        for i in range(n)
+        (element(x), element(y)) for x, y in _lift_vectors(spec, config.indices, lam)
     )
-    lift = Lift(spec, vectors, spec.element(c))
+    lift = Lift(spec, vectors, element(c))
     assert all(d == lift.det_value for d in lift.consecutive_determinants())
     return lift
 
@@ -578,26 +578,30 @@ def configuration_to_frieze(config: Configuration) -> FirstRow | FirstRowClass:
     """Coefficients a_i of the expansion V_i = a_i V_{i-1} - V_{i-2} over an
     equal-determinant lift, with V_0 = -V_n and V_{-1} = -V_{n-1}.
 
+    det(V_{i-2}, V_i) = a_i det(V_{i-2}, V_{i-1}) = a_i c, so a_i is
+    lam_{i-2} lam_i _det(t_{i-2}, t_i) / c, negated for i = 1, 2 where
+    V_{i-2} wraps round with a sign; all of it on codes.
+
     For odd n the row is independent of the lift and is returned directly;
     for even n the row is only defined up to rescaling and the canonical
     class is returned.
     """
-    lift = lift_configuration(config)
     spec = config.spec
     n = config.n
-    vecs = list(lift.vectors)
-    ext = [
-        (-vecs[n - 2][0], -vecs[n - 2][1]),  # V_{-1}
-        (-vecs[n - 1][0], -vecs[n - 1][1]),  # V_0
-    ] + vecs
-    c_inv = lift.det_value.inverse()
+    tup = config.indices
+    mul, sub, neg = spec.mul_code, spec.sub_code, spec.neg_code
+    lam, c = _lift_scalars(spec, tup)
+    vecs = _lift_vectors(spec, tup, lam)
+    ext = [tuple(map(neg, vecs[n - 2])), tuple(map(neg, vecs[n - 1]))] + vecs
+    c_inv = spec.inv_code(c)
     codes = []
     for i in range(n):
-        v_prev2, v_prev, v = ext[i], ext[i + 1], ext[i + 2]
-        a = (v_prev2[0] * v[1] - v[0] * v_prev2[1]) * c_inv
-        assert v[0] == a * v_prev[0] - v_prev2[0]
-        assert v[1] == a * v_prev[1] - v_prev2[1]
-        codes.append(a.code)
+        a = mul(mul(mul(lam[i - 2], lam[i]), _det(spec, tup[i - 2], tup[i])), c_inv)
+        if i < 2:
+            a = neg(a)
+        (u0, u1), (w0, w1), (v0, v1) = ext[i], ext[i + 1], ext[i + 2]
+        assert v0 == sub(mul(a, w0), u0) and v1 == sub(mul(a, w1), u1)
+        codes.append(a)
     row = FirstRow(spec, tuple(codes))
     ok, _ = matrix_criterion(row)
     assert ok, "lift coefficients must satisfy the matrix criterion"

@@ -39,7 +39,6 @@ identical catalogs.  The search runs in one thread.
 from __future__ import annotations
 
 import json
-import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,12 +51,9 @@ from .gf import FieldSpec
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search limits.  ``workers`` is accepted for compatibility and
-    ignored: the search runs in one thread, whatever its value."""
+    """Search limits."""
 
     budget: int = DEFAULT_BUDGET
-    workers: int = 1
-    keep_tuples_below: int = 1_000_000
 
 
 @dataclass
@@ -66,20 +62,16 @@ class EnumerationResult:
     width: int
     total_count: int
     orbits: list[tuple[FirstRow, int]]
-    elapsed: float
     strategy: str
-    keep_tuples_below: int
 
     @property
     def orbit_sizes(self) -> list[int]:
         return sorted(size for _, size in self.orbits)
 
     @cached_property
-    def tuples(self) -> list[tuple[int, ...]] | None:
+    def tuples(self) -> list[tuple[int, ...]]:
         """Every row, as sorted code tuples: the union of the orbits, built
-        on first use while total_count <= keep_tuples_below, else None."""
-        if self.total_count > self.keep_tuples_below:
-            return None
+        on first use."""
         rows = set()
         for rep, _ in self.orbits:
             rows |= dihedral_orbit_codes(rep.codes)
@@ -255,7 +247,6 @@ def enumerate_friezes(
         raise BudgetExceeded(
             f"estimated {work} matrix operations exceed budget {config.budget}"
         )
-    start = time.perf_counter()
     rows = []
     if strategy == "naive":
         for first in range(spec.q):
@@ -278,10 +269,7 @@ def enumerate_friezes(
         unmarked -= images
         orbits.append((FirstRow(spec, t), size))
         total += size
-    elapsed = time.perf_counter() - start
-    return EnumerationResult(
-        spec, width, total, orbits, elapsed, strategy, config.keep_tuples_below
-    )
+    return EnumerationResult(spec, width, total, orbits, strategy)
 
 
 @dataclass(frozen=True)

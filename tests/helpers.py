@@ -1,12 +1,14 @@
 """Shared fixtures-in-spirit for the test suite: the small fields everything
 runs over, the exhaustive field-axiom check reused by the acceptance suite,
-the keyed PGL2 orbit count that checks the library's cross-section walk, and
-the full row search that checks the min-first frieze catalog."""
+the keyed PGL2 orbit count that checks the library's cross-section walk, the
+full row search that checks the min-first frieze catalog, and the
+FieldElement lift that checks the code-native configuration_to_frieze."""
 
 from collections import Counter, defaultdict
 from functools import cache
 
-from friezes import FieldSpec
+from friezes import FieldSpec, FirstRow, FirstRowClass, matrix_criterion
+from friezes.errors import NotLiftable
 from friezes.moduli import configuration_index_tuples
 from friezes.search import _prefix_products
 
@@ -145,3 +147,52 @@ def full_rows(spec: FieldSpec, width: int, strategy: str) -> list[tuple[int, ...
         for mid, r10, r11 in table.get((l10, neg(l00)), ()):
             rows.append(prefix + mid + (neg(add(mul(r10, l01), mul(r11, l11))),))
     return rows
+
+
+def element_configuration_to_frieze(spec: FieldSpec, tup: tuple[int, ...]):
+    """configuration_to_frieze computed on FieldElements throughout: lift the
+    canonical vectors (x, 1) and (1, 0) to equal consecutive determinants
+    (antiperiodically, det(V_n, -V_1) included), then expand
+    V_i = a_i V_{i-1} - V_{i-2} with V_0 = -V_n and V_{-1} = -V_{n-1}.
+    Raises NotLiftable for even n outside the plus class."""
+    el = spec.element
+    one, zero = el(1), el(0)
+    n = len(tup)
+    raw = [(one, zero) if i == spec.q else (el(i), one) for i in tup]
+
+    def det(u, v):
+        return u[0] * v[1] - v[0] * u[1]
+
+    dets = [det(raw[i], raw[i + 1]) for i in range(n - 1)]
+    dets.append(det(raw[n - 1], (-raw[0][0], -raw[0][1])))
+    podd, peven = one, one
+    for i, d in enumerate(dets):
+        if i % 2 == 0:
+            podd = podd * d
+        else:
+            peven = peven * d
+    if n % 2:
+        c = podd / peven
+    elif podd != peven:
+        raise NotLiftable("even-length configuration outside the plus class")
+    else:
+        c = one
+    lam = [one]
+    for i in range(n - 1):
+        lam.append(c / (dets[i] * lam[i]))
+    vecs = [(l * x, l * y) for l, (x, y) in zip(lam, raw)]
+    assert all(
+        det(vecs[i], vecs[i + 1] if i < n - 1 else (-vecs[0][0], -vecs[0][1])) == c
+        for i in range(n)
+    )
+    ext = [(-vecs[n - 2][0], -vecs[n - 2][1]), (-vecs[n - 1][0], -vecs[n - 1][1])] + vecs
+    codes = []
+    for i in range(n):
+        v_prev2, v_prev, v = ext[i], ext[i + 1], ext[i + 2]
+        a = det(v_prev2, v) / c
+        assert v[0] == a * v_prev[0] - v_prev2[0]
+        assert v[1] == a * v_prev[1] - v_prev2[1]
+        codes.append(a.code)
+    row = FirstRow(spec, tuple(codes))
+    assert matrix_criterion(row)[0]
+    return row if n % 2 else FirstRowClass.of(row)

@@ -41,7 +41,12 @@ from friezes.moduli import (
 )
 from friezes.search import enumerate_friezes
 
-from helpers import PRIME_POWERS_LE_9, field_by_q, keyed_orbit_count
+from helpers import (
+    PRIME_POWERS_LE_9,
+    element_configuration_to_frieze,
+    field_by_q,
+    keyed_orbit_count,
+)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -87,7 +92,6 @@ def test_stream_matches_filtered_product(q):
     # the stream walks a prefix and finishes it from tail tables; the
     # reference is the lex-ordered product filtered tuple by tuple
     spec = field_by_q(q)
-    dets = _det_table(spec)
     n = 2
     while (q + 1) ** n <= 2 * 10**5:
         reference = [
@@ -97,14 +101,57 @@ def test_stream_matches_filtered_product(q):
         ]
         assert list(configuration_index_tuples(spec, n)) == reference
         if n % 2 == 0:
-            products = [_sign_products(spec, dets, t) for t in reference]
+            products = [_sign_products(spec, t) for t in reference]
             for sign, other in (("plus", lambda p: p), ("minus", spec.neg_code)):
                 expected = [
-                    t for t, (podd, peven) in zip(reference, products)
+                    t for t, (podd, peven, _) in zip(reference, products)
                     if podd == other(peven)
                 ]
                 assert list(configuration_index_tuples(spec, n, sign)) == expected
         n += 1
+
+
+def _random_path(spec, length, rng):
+    """length random point indices, each distinct from the one before."""
+    q1 = spec.q + 1
+    t = [rng.randrange(q1)]
+    while len(t) < length:
+        t.append((t[-1] + rng.randrange(1, q1)) % q1)
+    return t
+
+
+def test_sign_class_matches_det_table_products():
+    # sign_class reads _det once per edge; the reference multiplies entries
+    # of the full table, twisting the closing edge by hand.  Each random
+    # prefix is closed by every admissible last point, so every class occurs.
+    for spec in (FieldSpec(2, 8), FieldSpec(257)):
+        dets, mul, neg = _det_table(spec), spec.mul_code, spec.neg_code
+        rng = random.Random(spec.q)
+        seen = Counter()
+        for n in (2, 4, 6, 8):
+            for _ in range(5):
+                prefix = _random_path(spec, n - 1, rng)
+                for last in range(spec.q + 1):
+                    t = (*prefix, last)
+                    if last in (t[0], t[-2]):
+                        continue
+                    d = [dets[t[i]][t[i + 1]] for i in range(n - 1)]
+                    d.append(neg(dets[t[n - 1]][t[0]]))
+                    podd = peven = 1
+                    for x in d[::2]:
+                        podd = mul(podd, x)
+                    for x in d[1::2]:
+                        peven = mul(peven, x)
+                    assert _sign_products(spec, t) == (podd, peven, d)
+                    expected = (
+                        SignClass.PLUS if podd == peven
+                        else SignClass.MINUS if podd == neg(peven)
+                        else SignClass.OTHER
+                    )
+                    assert sign_class(config(spec, t)) == expected
+                    seen[expected] += 1
+        assert seen[SignClass.PLUS] and seen[SignClass.OTHER]
+        assert bool(seen[SignClass.MINUS]) == (not spec.char_is_2)
 
 
 def test_stream_counts_on_large_fields():
@@ -301,6 +348,52 @@ def test_lift_specific_triple_projects_back():
     assert len(set(dets)) == 1 and dets[0].code != 0
     for (x, y), point in zip(lift.vectors, cfg.points):
         assert ProjPoint(x, y) == point
+
+
+def _same_lift_outcome(spec, t):
+    """configuration_to_frieze and the FieldElement oracle give the same row
+    or class, or both raise NotLiftable; returns whether t was liftable."""
+    try:
+        expected = element_configuration_to_frieze(spec, t)
+    except NotLiftable:
+        with pytest.raises(NotLiftable):
+            configuration_to_frieze(config(spec, t))
+        return False
+    assert configuration_to_frieze(config(spec, t)) == expected
+    return True
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_LE_9)
+def test_code_lift_matches_element_oracle(q):
+    spec = field_by_q(q)
+    n = 3
+    while (q + 1) ** n <= 2 * 10**4:
+        lifted = [_same_lift_outcome(spec, t) for t in configuration_index_tuples(spec, n)]
+        if n % 2 == 0:
+            assert sum(lifted) == sum(1 for _ in configuration_index_tuples(spec, n, "plus"))
+        else:
+            assert all(lifted)
+        n += 1
+
+
+def test_code_lift_matches_element_oracle_on_large_fields():
+    # odd n: random configurations; even n: random prefixes closed by every
+    # admissible last point, so the plus class and NotLiftable both occur
+    for spec in (FieldSpec(2, 8), FieldSpec(257)):
+        rng = random.Random(spec.q)
+        for n in (3, 5, 7, 9):
+            for _ in range(30):
+                t = _random_path(spec, n, rng)
+                if t[-1] != t[0]:
+                    assert _same_lift_outcome(spec, tuple(t))
+        for n in (4, 6, 8):
+            prefix = _random_path(spec, n - 1, rng)
+            lifted = [
+                _same_lift_outcome(spec, (*prefix, last))
+                for last in range(spec.q + 1)
+                if last not in (prefix[0], prefix[-1])
+            ]
+            assert any(lifted) and not all(lifted)
 
 
 def test_even_minus_class_not_liftable():
