@@ -4,7 +4,10 @@ them, and 2x2 matrices.
 Elements are identified by integer codes 0..q-1: the coefficient vector of
 the element (constant term first) read as a base-p integer.  Code 0 is zero
 and code 1 is one, so the code order is a stable element enumeration that
-doubles as the serialization format.  Fields with at most TABLE_LIMIT
+doubles as the serialization format.  Points of P^1 are indexed 0..q: index
+i < q is (i : 1) and q is (1 : 0).  FieldSpec.point_vector and point_index
+are the one place that convention is written; ProjPoint, Mat2.act and the
+PGL2 point permutations read them.  Fields with at most TABLE_LIMIT
 elements precompute full operation tables at construction; larger fields
 reduce polynomials on the fly.  The tables of GF(p^k) are built from the
 powers of a primitive element, not from q^2 polynomial products; codes and
@@ -90,7 +93,9 @@ class FieldSpec:
     Immutable after construction, apart from caches filled on use; safe to
     share between threads.  All low-level arithmetic is exposed on integer
     codes (``add_code`` and friends); ``element`` wraps a code into a
-    :class:`FieldElement`.
+    :class:`FieldElement`.  ``descriptor`` is the canonical string "p",
+    "p^k" or "p^k:c0,c1,...,1", with the modulus suffix only when the
+    modulus is not the default one.
     """
 
     __slots__ = (
@@ -98,6 +103,7 @@ class FieldSpec:
         "k",
         "q",
         "modulus",
+        "descriptor",
         "_digit_cache",
         "_add",
         "_sub",
@@ -116,6 +122,7 @@ class FieldSpec:
         self.p = p
         self.k = k
         self.q = p**k
+        self.descriptor = str(p) if k == 1 else f"{p}^{k}"
         if k == 1:
             if modulus is not None:
                 raise ValueError("prime fields take no modulus")
@@ -133,6 +140,8 @@ class FieldSpec:
                     f"modulus {list(mod)} factors over F_{p}"
                 )
             self.modulus = mod
+            if mod != _default_modulus(p, k):
+                self.descriptor += ":" + ",".join(map(str, mod))
 
         self._digit_cache = None
         self._add = self._sub = self._mul = self._neg = self._inv = None
@@ -153,16 +162,6 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec({self.descriptor!r})"
-
-    @property
-    def descriptor(self) -> str:
-        """Canonical descriptor string: "p", "p^k" or "p^k:c0,c1,...,1"."""
-        if self.k == 1:
-            return str(self.p)
-        base = f"{self.p}^{self.k}"
-        if self.modulus == _default_modulus(self.p, self.k):
-            return base
-        return base + ":" + ",".join(str(c) for c in self.modulus)
 
     @property
     def char_is_2(self) -> bool:
@@ -354,6 +353,23 @@ class FieldSpec:
                 terms.append(f"a^{i}" if d == 1 else f"{d}a^{i}")
         return "+".join(terms) if terms else "0"
 
+    # -- the projective line ---------------------------------------------
+
+    def point_vector(self, i: int) -> tuple[int, int]:
+        """The vector of point index i: (i, 1), or (1, 0) for i = q."""
+        return (1, 0) if i == self.q else (i, 1)
+
+    def point_index(self, x: int, y: int) -> int:
+        """The index of the point (x : y): x y^-1, or q when y = 0."""
+        if y:
+            return self.mul_code(x, self.inv_code(y))
+        if x:
+            return self.q
+        raise ValueError("(0 : 0) is not a projective point")
+
+    def point_str(self, i: int) -> str:
+        return "inf" if i == self.q else self.element_str(i)
+
 
 class FieldElement:
     """An element of a FieldSpec; exact arithmetic through operator overloads."""
@@ -430,75 +446,59 @@ class FieldElement:
 
 
 class ProjPoint:
-    """A point of P^1(F_q), stored in normalized homogeneous coordinates.
-
-    The normalization is (x : 1) when the point is affine and (1 : 0) for
-    the point at infinity, so equality is plain coordinate comparison.
-    Points are also indexed 0..q: index i < q is (element_i : 1), index q
-    is (1 : 0).
+    """A point of P^1(F_q), stored as its index 0..q (see the module
+    docstring), so equality is index comparison.  x and y are the codes of
+    FieldSpec.point_vector: (x : 1) when affine, (1 : 0) at infinity.
     """
 
-    __slots__ = ("spec", "x", "y")
+    __slots__ = ("spec", "index")
 
     def __init__(self, x: FieldElement, y: FieldElement):
         if x.spec != y.spec:
             raise ValueError("coordinates from different fields")
-        spec = x.spec
-        if y.code != 0:
-            xc = spec.mul_code(x.code, spec.inv_code(y.code))
-            yc = 1
-        elif x.code != 0:
-            xc, yc = 1, 0
-        else:
-            raise ValueError("(0 : 0) is not a projective point")
-        self.spec = spec
-        self.x = xc
-        self.y = yc
-
-    @classmethod
-    def _from_codes(cls, spec: FieldSpec, x: int, y: int) -> "ProjPoint":
-        pt = object.__new__(cls)
-        pt.spec = spec
-        pt.x = x
-        pt.y = y
-        return pt
+        self.spec = x.spec
+        self.index = x.spec.point_index(x.code, y.code)
 
     @classmethod
     def from_index(cls, spec: FieldSpec, index: int) -> "ProjPoint":
         if not 0 <= index <= spec.q:
             raise ValueError(f"point index {index} out of range")
-        if index == spec.q:
-            return cls._from_codes(spec, 1, 0)
-        return cls._from_codes(spec, index, 1)
+        pt = object.__new__(cls)
+        pt.spec = spec
+        pt.index = index
+        return pt
 
     @property
-    def index(self) -> int:
-        return self.x if self.y == 1 else self.spec.q
+    def x(self) -> int:
+        return self.spec.point_vector(self.index)[0]
+
+    @property
+    def y(self) -> int:
+        return self.spec.point_vector(self.index)[1]
 
     @property
     def is_infinity(self) -> bool:
-        return self.y == 0
+        return self.index == self.spec.q
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        return (self.x, self.y) == (other.x, other.y) and self.spec == other.spec
+        return self.index == other.index and self.spec == other.spec
 
     def __hash__(self):
-        return hash((self.x, self.y, self.spec))
+        return hash((self.index, self.spec))
 
     def __str__(self):
-        return "inf" if self.y == 0 else self.spec.element_str(self.x)
+        return self.spec.point_str(self.index)
 
     def __repr__(self):
         return f"ProjPoint({self})"
 
 
 def p1_points(spec: FieldSpec) -> list[ProjPoint]:
-    """The q + 1 points of P^1(F_q): (a : 1) in element order, then (1 : 0)."""
-    pts = [ProjPoint._from_codes(spec, c, 1) for c in range(spec.q)]
-    pts.append(ProjPoint._from_codes(spec, 1, 0))
-    return pts
+    """The q + 1 points of P^1(F_q) in index order: (a : 1) in element order,
+    then (1 : 0)."""
+    return [ProjPoint.from_index(spec, i) for i in range(spec.q + 1)]
 
 
 class Mat2:
@@ -578,13 +578,12 @@ class Mat2:
             raise ValueError("point over a different field")
         s = self.spec
         mul, add = s.mul_code, s.add_code
-        nx = add(mul(self.a, pt.x), mul(self.b, pt.y))
-        ny = add(mul(self.c, pt.x), mul(self.d, pt.y))
-        if ny != 0:
-            return ProjPoint._from_codes(s, mul(nx, s.inv_code(ny)), 1)
-        if nx == 0:
+        x, y = s.point_vector(pt.index)
+        nx = add(mul(self.a, x), mul(self.b, y))
+        ny = add(mul(self.c, x), mul(self.d, y))
+        if nx == ny == 0:
             raise SingularMatrix(f"matrix {self.codes} kills a projective point")
-        return ProjPoint._from_codes(s, 1, 0)
+        return ProjPoint.from_index(s, s.point_index(nx, ny))
 
     def __eq__(self, other):
         if not isinstance(other, Mat2):
@@ -632,19 +631,14 @@ def pgl2_point_permutations(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
     group-scan oracle of the tests, which the orbit keys no longer use."""
     if spec._p1_perms is not None:
         return spec._p1_perms
-    q = spec.q
-    mul, add, inv = spec.mul_code, spec.add_code, spec.inv_code
+    mul, add, index = spec.mul_code, spec.add_code, spec.point_index
+    vectors = [spec.point_vector(i) for i in range(spec.q + 1)]
     perms = []
     for m in pgl2_elements(spec):
         a, b, c, d = m.codes
-        perm = []
-        for x in range(q):
-            nx = add(mul(a, x), b)
-            ny = add(mul(c, x), d)
-            perm.append(mul(nx, inv(ny)) if ny else q)
-        # the point at infinity (1 : 0) maps to (a : c)
-        perm.append(mul(a, inv(c)) if c else q)
-        perms.append(tuple(perm))
+        perms.append(tuple([
+            index(add(mul(a, x), mul(b, y)), add(mul(c, x), mul(d, y))) for x, y in vectors
+        ]))
     spec._p1_perms = tuple(perms)
     return spec._p1_perms
 

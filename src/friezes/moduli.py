@@ -12,12 +12,15 @@ the frieze correspondence needs.  In characteristic 2 the two classes
 coincide.
 
 A Configuration stores point indices 0..q and builds ProjPoints only in
-Configuration.points.  Every determinant is _det: det(v_i, v_j) of the
-canonical lifts (x : 1) -> (x, 1), (1 : 0) -> (1, 0), read by the signed
-walk's table, the sign class, the orbit key and the lift.  Both directions
-of the correspondence run on codes: configuration_to_frieze expands the
-lift's scalars, frieze_to_configuration reads the SL2 step
-frieze.row_products; lift_configuration is the FieldElement view.
+Configuration.points.  Indices and vectors are converted by
+FieldSpec.point_vector and point_index alone: v_i = point_vector(i) is
+(i, 1), or (1, 0) for i = q.  Every determinant is _det: det(v_i, v_j) in
+closed form, read by the signed walk's table, the sign class, the orbit key
+and the lift.  Both directions of the correspondence run on codes:
+configuration_to_frieze expands the lift's scalars, frieze_to_configuration
+projects the SL2 step frieze.row_products with point_index;
+lift_configuration is the FieldElement view.  labels and parse_points are
+the code serialization of points, with "inf" for (1 : 0).
 """
 
 from __future__ import annotations
@@ -81,8 +84,7 @@ class Configuration:
         return ["inf" if i == q else str(i) for i in self.indices]
 
     def __str__(self):
-        q, name = self.spec.q, self.spec.element_str
-        return "(" + ",".join("inf" if i == q else name(i) for i in self.indices) + ")"
+        return "(" + ",".join(map(self.spec.point_str, self.indices)) + ")"
 
 
 class SignClass(Enum):
@@ -104,8 +106,9 @@ def parse_points(spec: FieldSpec, labels: Sequence[str]) -> Configuration:
 
 
 def _det(spec: FieldSpec, i: int, j: int) -> int:
-    """det(v_i, v_j) of the canonical lifts of points i and j, (x : 1) ->
-    (x, 1) and (1 : 0) -> (1, 0): the one place this convention is written."""
+    """det(v_i, v_j) of the lifts v = spec.point_vector of points i and j, in
+    closed form: the one definition of the determinant, from which the
+    signed walk builds its q^2 table."""
     q = spec.q
     if j == q:
         return 0 if i == q else spec.neg_code(1)
@@ -370,50 +373,6 @@ class OrbitSummary:
     sizes: tuple[int, ...]
 
 
-def _orbit_key_function(spec: FieldSpec) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """Key function sending a configuration's index tuple to the
-    lexicographically smallest tuple in its PGL2 orbit.
-
-    PGL2 acts sharply 3-transitively on P^1 and cyclically adjacent points
-    differ, so the smallest image of t starts (0, 1) and sends the first
-    point outside {t[0], t[1]} to 2: it is the image of t under the unique
-    element taking t[0], t[1] and that point to the indices 0, 1, 2.  A tuple
-    with only two distinct points maps to its 0/1 pattern.
-
-    With v_i the canonical vector of point i, the Möbius map
-    h(v) = (det(v_b, v_c) det(v, v_a) : det(v_b, v_a) det(v, v_c)) sends
-    a, b, c to 0, 1, inf, and k = [[z, 0], [1, z - 1]] sends 0, 1, inf to
-    0, 1, z, the point of index 2 (inf for q = 2, where k is the identity).
-    det(v, w) is linear in v, so k h is the matrix with rows z lam det(., v_a)
-    and lam det(., v_a) + (z - 1) mu det(., v_c), lam = det(v_b, v_c) and
-    mu = det(v_b, v_a).  Each key maps only the tuple's own n points through
-    it: O(n) field operations, and nothing is kept on the spec.
-    """
-    q = spec.q
-    mul, add, sub = spec.mul_code, spec.add_code, spec.sub_code
-    neg, inv = spec.neg_code, spec.inv_code
-    k00, k10, k11 = (2, 1, sub(2, 1)) if q > 2 else (1, 0, 1)
-
-    def key(tup: tuple[int, ...]) -> tuple[int, ...]:
-        a, b = tup[0], tup[1]
-        c = next((c for c in tup if c != a and c != b), None)
-        if c is None:
-            return tuple([0 if i == a else 1 for i in tup])
-        (a0, a1), (c0, c1) = _canonical_vector(spec, a), _canonical_vector(spec, c)
-        lam, mu = _det(spec, b, c), _det(spec, b, a)
-        x_a, y_a, y_c = mul(k00, lam), mul(k10, lam), mul(k11, mu)
-        m00, m01 = mul(x_a, a1), neg(mul(x_a, a0))
-        m10 = add(mul(y_a, a1), mul(y_c, c1))
-        m11 = neg(add(mul(y_a, a0), mul(y_c, c0)))
-        out = []
-        for i in tup:
-            x, y = (m00, m10) if i == q else (add(mul(m00, i), m01), add(mul(m10, i), m11))
-            out.append(mul(x, inv(y)) if y else q)
-        return tuple(out)
-
-    return key
-
-
 def pgl2_orbit_count(
     spec: FieldSpec,
     n: int,
@@ -422,7 +381,7 @@ def pgl2_orbit_count(
 ) -> OrbitSummary:
     """Partition the configurations into PGL2 orbits by walking one
     representative per orbit: its key, the lexicographically smallest image
-    (see _orbit_key_function).
+    (see orbit_of).
 
     PGL2 acts freely on the configurations with at least three distinct
     points, so their keys form a cross-section of the action: the tuples of
@@ -485,10 +444,6 @@ class Lift:
         return out
 
 
-def _canonical_vector(spec: FieldSpec, point_index: int) -> tuple[int, int]:
-    return (1, 0) if point_index == spec.q else (point_index, 1)
-
-
 def _lift_scalars(spec: FieldSpec, tup: tuple[int, ...]) -> tuple[list[int], int]:
     """The codes of the rescaling factors lam_i and the common determinant c
     of the equal-determinant antiperiodic lift V_i = lam_i v_{t_i}.
@@ -521,8 +476,7 @@ def _lift_scalars(spec: FieldSpec, tup: tuple[int, ...]) -> tuple[list[int], int
 def _lift_vectors(spec: FieldSpec, tup: tuple[int, ...], lam: list[int]) -> list[tuple[int, int]]:
     """The lift V_i = lam_i v_{t_i} as code pairs."""
     mul = spec.mul_code
-    vecs = (_canonical_vector(spec, i) for i in tup)
-    return [(mul(l, x), mul(l, y)) for l, (x, y) in zip(lam, vecs)]
+    return [(mul(l, x), mul(l, y)) for l, (x, y) in zip(lam, map(spec.point_vector, tup))]
 
 
 def lift_configuration(config: Configuration) -> Lift:
@@ -622,17 +576,41 @@ def frieze_to_configuration(row: FirstRow) -> Configuration:
     if not ok:
         raise CriterionFails(f"row {row} has product {product!r} != -Id")
     spec = row.spec
-    mul, neg, inv = spec.mul_code, spec.neg_code, spec.inv_code
-    # (x : y) has index x/y when y != 0; y = p00 = 0 is the point at infinity
-    indices = tuple(
-        mul(neg(p01), inv(p00)) if p00 else spec.q
-        for p00, p01, _, _ in row_products(spec, row.codes)
-    )
+    index, neg = spec.point_index, spec.neg_code
+    indices = tuple(index(neg(p01), p00) for p00, p01, _, _ in row_products(spec, row.codes))
     return Configuration(spec, indices)
 
 
 def orbit_of(config: Configuration) -> tuple[int, ...]:
     """Canonical representative (as point indices) of the PGL2 orbit: the
     lexicographically smallest image, the key whose cross-section
-    pgl2_orbit_count walks.  Maps the n points through one Möbius map, O(n)."""
-    return _orbit_key_function(config.spec)(config.indices)
+    pgl2_orbit_count walks.
+
+    PGL2 acts sharply 3-transitively on P^1 and cyclically adjacent points
+    differ, so the smallest image of t starts (0, 1) and sends the first
+    point outside {t[0], t[1]} to 2: it is the image of t under the unique
+    element taking t[0], t[1] and that point to the indices 0, 1, 2.  A tuple
+    with only two distinct points maps to its 0/1 pattern.
+
+    With v_i = spec.point_vector(i), the Möbius map
+    h(v) = (det(v_b, v_c) det(v, v_a) : det(v_b, v_a) det(v, v_c)) sends
+    a, b, c to 0, 1, inf, and k = [[z, 0], [1, z - 1]] sends 0, 1, inf to
+    0, 1, z, the point of index 2 (inf for q = 2, where k is the identity).
+    So k h(v_i) = (z lam d_a : lam d_a + (z - 1) mu d_c) with
+    lam = det(v_b, v_c), mu = det(v_b, v_a), d_a = _det(i, a) and
+    d_c = _det(i, c): two _det reads and one point_index per point, O(n).
+    """
+    spec, tup = config.spec, config.indices
+    a, b = tup[0], tup[1]
+    c = next((c for c in tup if c != a and c != b), None)
+    if c is None:
+        return tuple([0 if i == a else 1 for i in tup])
+    mul, add, index = spec.mul_code, spec.add_code, spec.point_index
+    k00, k10, k11 = (2, 1, spec.sub_code(2, 1)) if spec.q > 2 else (1, 0, 1)
+    lam, mu = _det(spec, b, c), _det(spec, b, a)
+    x_a, y_a, y_c = mul(k00, lam), mul(k10, lam), mul(k11, mu)
+    out = []
+    for i in tup:
+        d_a = _det(spec, i, a)
+        out.append(index(mul(x_a, d_a), add(mul(y_a, d_a), mul(y_c, _det(spec, i, c)))))
+    return tuple(out)

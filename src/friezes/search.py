@@ -62,7 +62,6 @@ class EnumerationResult:
     width: int
     total_count: int
     orbits: list[tuple[FirstRow, int]]
-    strategy: str
 
     @property
     def orbit_sizes(self) -> list[int]:
@@ -269,7 +268,7 @@ def enumerate_friezes(
         unmarked -= images
         orbits.append((FirstRow(spec, t), size))
         total += size
-    return EnumerationResult(spec, width, total, orbits, strategy)
+    return EnumerationResult(spec, width, total, orbits)
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ def assert_field_axioms(spec: FieldSpec):
 
 @cache
 def _permutation_key(spec: FieldSpec):
-    """The orbit key of moduli._orbit_key_function, made another way: the
+    """The orbit key of moduli.orbit_of, made another way: the
     point permutation of the Möbius map taking the triple (a, b, c) to the
     indices (0, 1, 2) is built once per triple and field, over all q + 1
     points, and every key with that triple reads the tuple through it."""

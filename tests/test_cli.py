@@ -362,6 +362,20 @@ def test_repeated_calls_match_fresh_processes(capsys, monkeypatch):
     assert codes == [0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
 
 
+def test_reproduce_tables_script_matches_closed_forms(monkeypatch):
+    monkeypatch.delenv("FRIEZES_BUDGET", raising=False)
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_tables.py")],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    headers = [line for line in done.stdout.splitlines() if line.startswith("$ friezes ")]
+    assert len(headers) == 14
+    assert "MISMATCH" not in done.stdout
+
+
 _FIELDS = ["2", "3", "2^2", "5", "7", "2^3", "3^2", "2^4", "5^2", "7^2"]
 _JUNK = {
     "field": ["4", "banana", "", "2^0", "5:1,1", "2^2:1,0,1", "-3", "2^2:1,1,1"],

@@ -125,6 +125,68 @@ def test_projpoint_normalization():
         ProjPoint(f5.zero, f5.zero)
 
 
+def _moebius_image(spec, codes, i):
+    """Oracle: point i under [[a, b], [c, d]] on the affine coordinate,
+    (a i + b) / (c i + d), with inf -> a / c and a zero denominator -> inf."""
+    a, b, c, d = codes
+    q, mul, add = spec.q, spec.mul_code, spec.add_code
+    num, den = (a, c) if i == q else (add(mul(a, i), b), add(mul(c, i), d))
+    return mul(num, spec.inv_code(den)) if den else q
+
+
+def _check_point_primitives(spec, indices, scalars, matrices):
+    q, mul, el = spec.q, spec.mul_code, spec.element
+    with pytest.raises(ValueError):
+        spec.point_index(0, 0)
+    with pytest.raises(ValueError):
+        ProjPoint(spec.zero, spec.zero)
+    for i in indices:
+        x, y = spec.point_vector(i)
+        assert (x, y) == ((1, 0) if i == q else (i, 1))
+        assert spec.point_index(x, y) == i
+        for lam in scalars:
+            assert spec.point_index(mul(lam, x), mul(lam, y)) == i
+            assert ProjPoint(el(mul(lam, x)), el(mul(lam, y))).index == i
+        pt = ProjPoint.from_index(spec, i)
+        assert (pt.x, pt.y) == (x, y)
+        assert pt.is_infinity == (i == q)
+        assert str(pt) == spec.point_str(i) == ("inf" if i == q else spec.element_str(i))
+        for m in matrices:
+            assert m.act(pt).index == _moebius_image(spec, m.codes, i)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 13, 16))
+def test_point_primitives_exhaustive(q):
+    spec = field_by_q(q)
+    points = range(q + 1)
+    matrices = pgl2_elements(spec)
+    _check_point_primitives(spec, points, range(1, q), matrices[:: max(1, q**3 // 500)])
+    for m, perm in zip(matrices, pgl2_point_permutations(spec)):
+        assert perm == tuple(_moebius_image(spec, m.codes, i) for i in points)
+
+
+@pytest.mark.parametrize("p, k", [(257, 1), (2, 9)])
+def test_point_primitives_sampled(p, k):
+    # above gf.TABLE_LIMIT: the code ops run without tables
+    spec = FieldSpec(p, k)
+    q = spec.q
+    rng = random.Random(q)
+    points = [0, 1, q - 1, q] + rng.sample(range(q), 16)
+    matrices = []
+    while len(matrices) < 8:
+        m = Mat2.from_codes(spec, [rng.randrange(q) for _ in range(4)])
+        if m.det().code:
+            matrices.append(m)
+    _check_point_primitives(spec, points, [1, q - 1] + rng.sample(range(2, q), 4), matrices)
+
+
+def test_singular_matrix_kills_a_point():
+    f5 = FieldSpec(5)
+    with pytest.raises(SingularMatrix):
+        # (1 : -1) spans the kernel of [[1, 1], [1, 1]]
+        Mat2.from_codes(f5, (1, 1, 1, 1)).act(ProjPoint.from_index(f5, 4))
+
+
 def test_pgl2_sizes():
     assert len(pgl2_elements(FieldSpec(2))) == 6
     assert len(pgl2_elements(FieldSpec(3))) == 24
@@ -183,6 +245,9 @@ def test_descriptor_round_trips():
         assert parse_field_descriptor(spec.descriptor) == spec
     assert parse_field_descriptor("2^2").descriptor == "2^2"
     assert parse_field_descriptor("7").descriptor == "7"
+    # an explicit modulus keeps a suffix only when it is not the default one
+    assert FieldSpec(2, 3, (1, 1, 0, 1)).descriptor == "2^3"
+    assert FieldSpec(2, 3, (1, 0, 1, 1)).descriptor == "2^3:1,0,1,1"
 
 
 def test_descriptor_errors():
