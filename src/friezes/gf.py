@@ -420,13 +420,6 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         return FieldElement(self.spec, self.spec.inv_code(self.code))
 
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Coefficient vector over F_p, constant term first."""
-        if self.spec.k == 1:
-            return (self.code,)
-        return self.spec._digits(self.code)
-
     def __bool__(self):
         return self.code != 0
 
@@ -527,10 +520,6 @@ class Mat2:
     @property
     def codes(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
-
-    @property
-    def entries(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.spec, c) for c in self.codes)
 
     def det(self) -> FieldElement:
         s = self.spec

@@ -11,6 +11,12 @@ exactly where an equal-determinant antiperiodic lift exists, which is what
 the frieze correspondence needs.  In characteristic 2 the two classes
 coincide.
 
+configuration_index_tuples streams C_n, and pgl2_orbit_count walks the orbit
+keys, with one loop (_walk): lex-ordered prefixes, each joined to the tails
+that close it, read from a table keyed by the prefix's last and first points
+and built on first visit from one list of tail paths.  A signed walk groups
+each entry's tails by the sign ratio of the edges they close.
+
 A Configuration stores point indices 0..q and builds ProjPoints only in
 Configuration.points.  Indices and vectors are converted by
 FieldSpec.point_vector and point_index alone: v_i = point_vector(i) is
@@ -28,7 +34,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -144,84 +150,6 @@ def _check_budget(spec: FieldSpec, n: int, budget: int):
         )
 
 
-def _tail_tuples(q1: int, s: int) -> list:
-    """Every s-tuple of point indices, made once and shared by all tables:
-    a list of 1-tuples for s = 1, a matrix of pairs for s = 2."""
-    if s == 1:
-        return [(y,) for y in range(q1)]
-    return [[(y1, y2) for y2 in range(q1)] for y1 in range(q1)]
-
-
-def _unsigned_tails(q1: int, s: int) -> Callable[[int, int], list]:
-    """tails(l, f): the s-tuples (y_1..y_s) in lex order with y_1 != l,
-    consecutive entries distinct and y_s != f.
-
-    For s = 1 they are slices of one shared list of 1-tuples; for s = 2 each
-    (l, f) list is built on its first visit."""
-    shared = _tail_tuples(q1, s)
-    if s == 1:
-
-        def tails(l, f):
-            a, b = (l, f) if l < f else (f, l)
-            if a == b:
-                return shared[:a] + shared[a + 1 :]
-            return shared[:a] + shared[a + 1 : b] + shared[b + 1 :]
-
-        return tails
-    table = {}
-
-    def tails(l, f):
-        out = table.get((l, f))
-        if out is None:
-            out = table[l, f] = [
-                pair
-                for y1 in range(q1)
-                if y1 != l
-                for y2, pair in enumerate(shared[y1])
-                if y2 != y1 and y2 != f
-            ]
-        return out
-
-    return tails
-
-
-def _signed_tails(spec: FieldSpec, s: int, dets, idets) -> Callable[[int, int], dict]:
-    """tails(l, f): the tails of _unsigned_tails grouped by the ratio
-    podd/peven of the s + 1 edges they close (the edge from l, the edges
-    inside the tail, and the twisted edge D_n back to f), for even n.
-
-    Those edges have indices n - s - 1..n - 1, so their parities are fixed:
-    the twisted D_n is odd and contributes -det(y_s, f) = det(f, y_s) to the
-    denominator.  Each (l, f) dict is built on its first visit."""
-    mul = spec.mul_code
-    q1 = spec.q + 1
-    shared = _tail_tuples(q1, s)
-    table = {}
-
-    def tails(l, f):
-        out = table.get((l, f))
-        if out is None:
-            out = table[l, f] = defaultdict(list)
-            back = idets[f]
-            if s == 1:
-                into = dets[l]
-                for y in range(q1):
-                    if y != l and y != f:
-                        out[mul(into[y], back[y])].append(shared[y])
-            else:
-                into = idets[l]
-                for y1 in range(q1):
-                    if y1 == l:
-                        continue
-                    r1, inner, pairs = into[y1], dets[y1], shared[y1]
-                    for y2 in range(q1):
-                        if y2 != y1 and y2 != f:
-                            out[mul(mul(r1, inner[y2]), back[y2])].append(pairs[y2])
-        return out
-
-    return tails
-
-
 def configuration_index_tuples(
     spec: FieldSpec,
     n: int,
@@ -231,8 +159,10 @@ def configuration_index_tuples(
     """Stream the point-index tuples of C_n in lexicographic order, optionally
     restricted to a sign class.  This is the allocation-light path behind the
     configuration and partition counts; enumerate_configurations wraps it in
-    Configuration objects.  The stream is lazy: bad arguments and the budget
-    are checked on the first next().  See _walk for how it is built."""
+    Configuration objects.  Each prefix is joined to a table of tails keyed
+    by its last and first points, so memory stays near |C_n|/q tails.  The
+    stream is lazy: bad arguments and the budget are checked on the first
+    next()."""
     return _walk(spec, n, sign_filter, budget, cross_section=False)
 
 
@@ -248,30 +178,34 @@ def _walk(
     """The tuples of C_n, or with cross_section the orbit keys among them (see
     pgl2_orbit_count), in a sign class and in lexicographic order.
 
-    A loop over an explicit stack walks only the prefixes t_0..t_{m-1},
-    m = n - s, with consecutive points distinct; each prefix emits its tails
-    t_m..t_{n-1} from a table keyed by (last prefix point, first point) with
-    ``yield from map(prefix.__add__, tails)``, so no tuple is built and then
-    discarded.  s = 2 for n >= 5, where the tables hold at most (q+1)^2 q^2
-    tails, about |C_n|/q, all pointing into one shared matrix of pairs;
-    s = 1 for n <= 4, where unsigned tails are slices of one list of
-    1-tuples (a table keyed by (l, f) would be as large as C_3).  Every other
-    table is built on the first visit of its key.
+    One loop joins each prefix t_0..t_{m-1}, m = n - s, to tails(t_{m-1},
+    t_0): the paths t_m..t_{n-1} with consecutive points distinct, the first
+    distinct from t_{m-1} and the last from t_0, in lex order.  A table entry
+    is built on the first visit of its key from one list of tail paths, and
+    ``map(prefix.__add__, tails)`` emits its tuples, so no tuple is built and
+    then discarded.  Prefixes and tail paths grow the same way, one point at
+    a time, like search._prefix_products.
 
-    A signed walk also carries u = target * r^-1, where r is the ratio
-    podd/peven of the prefix edges and target is 1 for plus and -1 for minus
-    (the same in characteristic 2).  The tails it keeps are those whose own
-    ratio is u: one lookup, no per-tuple product.
+    The full walk takes s = max(1, min(n // 2, n - 3)), so the table holds
+    about (q + 1)^2 q^s <= |C_n|/q tails for n >= 4.  Its prefixes are the
+    paths of length m - 1, built level by level, each with its last point
+    expanded lazily, so no list holds every prefix.  The cross-section walk
+    takes s = 2 (s = 1 for n <= 4), and its prefixes, a few per orbit key,
+    are made up front: first the alternation 0, 1, 0, ... of length m, the
+    one prefix whose tails are filtered by key shape, then the paths grown
+    from the roots (0, 1, ..., 2) that put the first 2 after the alternation,
+    deepest first.  That is lex order as well.
 
-    The full walk starts from every 1-point prefix.  The cross-section walk
-    starts from the prefixes (0, 1, ..., 2) that put the first 2 after the
-    alternation 0, 1, 0, ..., deepest first, and below them is the full walk.
-    The alternating prefix of length m is the one other prefix of a key: its
-    tails come first and are filtered by hand.
-
-    Prefixes are walked in lex order and each tail list is in lex order, so
-    the tuples come out in the same order as a lex-ordered product filtered
-    by cyclic adjacency, sign class and, for the cross-section, key shape.
+    Signs: edge e_i = det(t_i, t_{i+1}), and e_{n-1} = det(t_0, t_{n-1})
+    with the twist, enters the ratio podd/peven as e_i for even i and as
+    e_i^-1 for odd i.  A prefix carries u = target * r^-1, where r is the
+    ratio of its edges and target is 1 for plus and -1 for minus (the same
+    in characteristic 2).  A table entry groups its tails by the ratio of
+    the s + 1 edges they close, from the inner-edge ratio each tail path
+    carries, so a prefix reads the tails of group u: one lookup, no
+    per-tuple product.  Products are read from mul, the table mul[a][b] =
+    a * b.  The unsigned walk reads every determinant as 1, with the table
+    of 1 * 1 = 1, so every ratio is 1 and one group holds every tail.
     """
     if sign_filter not in ("all", "plus", "minus"):
         raise ValueError(f"unknown sign filter {sign_filter!r}")
@@ -280,57 +214,73 @@ def _walk(
     if n < 2:
         raise ValueError("configurations need n >= 2")
     _check_budget(spec, n, budget)
-    q = spec.q
-    s = 2 if n >= 5 else 1
+    points = range(spec.q + 1)
+    if sign_filter == "all":
+        ones = [[1] * len(points)] * len(points)
+        mul, target, ratio = [[1, 1]] * 2, 1, (ones, ones)  # 1 * 1 = 1
+    else:
+        codes, inv = range(spec.q), spec.inv_code
+        # fields above gf.TABLE_LIMIT have no op tables; the walk builds one
+        mul = spec._mul or [[spec.mul_code(a, b) for b in codes] for a in codes]
+        dets = _det_table(spec)
+        ratio = (dets, [[inv(d) if d else 0 for d in row] for row in dets])
+        target = 1 if sign_filter == "plus" else spec.neg_code(1)
+    inverse = ratio[::-1]  # u takes e_i^-1 for even i and e_i for odd i
+    s = (2 if n >= 5 else 1) if cross_section else max(1, min(n // 2, n - 3))
     m = n - s
-    down = range(q, -1, -1)  # children are pushed in reverse to pop in lex order
+
+    def grow(paths, rows):
+        """Each (path, r) extended by every point v != its last point l, with
+        r * rows[l][v], in lex order and lazily."""
+        return (
+            (p + (v,), mul[r][row[v]])
+            for p, r in paths
+            for row in (rows[p[-1]],)
+            for v in points
+            if v != p[-1]
+        )
+
+    paths = [((y,), 1) for y in points]
+    for i in range(m, n - 1):
+        paths = list(grow(paths, ratio[i % 2]))
+    into, back = ratio[(m - 1) % 2], ratio[(n - 1) % 2]
+    table = {}
+
+    def tails(l, f):
+        out = table.get((l, f))
+        if out is None:
+            if sign_filter == "all":
+                out = {1: [p for p, _ in paths if p[0] != l and p[-1] != f]}
+            else:
+                out, r_l, r_f = defaultdict(list), into[l], back[f]
+                for p, r in paths:
+                    if p[0] != l and p[-1] != f:
+                        out[mul[mul[r_l[p[0]]][r]][r_f[p[-1]]]].append(p)
+            table[l, f] = out
+        return out
+
     if cross_section:
         alternation = ((0, 1) * n)[:m]
-        roots = [alternation[:i] + (2,) for i in range(2, m)]
-    else:
-        roots = [(v,) for v in down]
-    if sign_filter == "all":
-        tails = _unsigned_tails(q + 1, s)
-        if cross_section:
-            head = map(alternation.__add__, tails(alternation[-1], 0))
-            yield from filter(_is_orbit_key, head)
-        stack = roots
-        while stack:
-            prefix = stack.pop()
-            last = prefix[-1]
-            if len(prefix) < m:
-                stack += [prefix + (v,) for v in down if v != last]
-            else:
-                yield from map(prefix.__add__, tails(last, prefix[0]))
-        return
-
-    mul, inv = spec.mul_code, spec.inv_code
-    dets = _det_table(spec)
-    idets = [[inv(d) if d else 0 for d in row] for row in dets]
-    # u picks up det^-1 from even (odd-indexed, 1-based) edges and det from odd ones
-    u_factors = (idets, dets)
-    tails = _signed_tails(spec, s, dets, idets)
-    target = 1 if sign_filter == "plus" else spec.neg_code(1)
-
-    def u_of(prefix):
-        u = target
-        for i in range(1, len(prefix)):
-            u = mul(u, u_factors[(i - 1) % 2][prefix[i - 1]][prefix[i]])
-        return u
-
-    if cross_section:
-        head = tails(alternation[-1], 0).get(u_of(alternation), ())
+        us = [target]  # us[i] is the u of alternation[:i + 1]
+        for i in range(m - 1):
+            us.append(mul[us[i]][inverse[i % 2][alternation[i]][alternation[i + 1]]])
+        head = tails(alternation[-1], 0).get(us[-1], ())
         yield from filter(_is_orbit_key, map(alternation.__add__, head))
-    stack = [(prefix, u_of(prefix)) for prefix in roots]
-    while stack:
-        prefix, u = stack.pop()
-        last = prefix[-1]
-        i = len(prefix)
-        if i < m:
-            row = u_factors[(i - 1) % 2][last]
-            stack += [(prefix + (v,), mul(u, row[v])) for v in down if v != last]
-        else:
-            yield from map(prefix.__add__, tails(last, prefix[0]).get(u, ()))
+        prefixes = []
+        for i in range(m - 1, 1, -1):
+            u = mul[us[i - 1]][inverse[(i - 1) % 2][alternation[i - 1]][2]]
+            level = [(alternation[:i] + (2,), u)]
+            for j in range(i, m - 1):
+                level = list(grow(level, inverse[j % 2]))
+            prefixes += level
+    else:
+        prefixes = [((v,), target) for v in points]
+        for i in range(m - 2):
+            prefixes = list(grow(prefixes, inverse[i % 2]))
+        if m > 1:
+            prefixes = grow(prefixes, inverse[m % 2])
+    for prefix, u in prefixes:
+        yield from map(prefix.__add__, tails(prefix[-1], prefix[0]).get(u, ()))
 
 
 def enumerate_configurations(
@@ -389,9 +339,10 @@ def pgl2_orbit_count(
     standing for q^3 - q configurations.  For even n the alternation
     (0, 1, ..., 0, 1) stands for the q(q + 1) two-point configurations; it is
     the smallest key, so it comes first.  The sign class is PGL2-invariant,
-    so a signed count walks the keys in its class.  _walk streams the keys in
-    lex order, about q^(n-3) tuples where C_n has about q^n; the budget still
-    refuses (q+1)^n candidates above it, like configuration_index_tuples."""
+    so a signed count walks the keys in its class.  The keys are streamed in
+    lex order as prefixes (0, 1, ..., 2) joined to tail tables, about
+    q^(n-3) tuples where C_n has about q^n; the budget still refuses (q+1)^n
+    candidates above it, like configuration_index_tuples."""
     keys = tuple(_walk(spec, n, sign_filter, budget, cross_section=True))
     q = spec.q
     sizes = [q**3 - q] * len(keys)

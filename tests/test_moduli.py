@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from operator import itemgetter
 
@@ -155,8 +156,10 @@ def test_sign_class_matches_det_table_products():
 
 
 def test_stream_counts_on_large_fields():
-    # GF(64) n = 3 takes the shared-slice tails, GF(256) n = 2 the signed
-    # tables, each built only for the (last, first) keys visited
+    # GF(64) n = 3 joins 2-point prefixes, their second point expanded
+    # lazily, to 1-point tails; GF(256) n = 2 joins 1-point prefixes to
+    # tails grouped by sign ratio.  Each table entry is built only for the
+    # (last, first) keys visited.
     f64 = FieldSpec(2, 6)
     got = sum(1 for _ in configuration_index_tuples(f64, 3))
     assert got == count_configurations(64, 3)
@@ -164,6 +167,33 @@ def test_stream_counts_on_large_fields():
     plus = sum(1 for _ in configuration_index_tuples(f256, 2, "plus"))
     minus = sum(1 for _ in configuration_index_tuples(f256, 2, "minus"))
     assert (plus, minus) == count_signed_configurations(256, True, 2)
+
+
+def test_unsigned_stream_memory_stays_near_c_n_over_q():
+    # the tail table holds about |C_n|/q tails and no list holds every
+    # prefix; a table holding all of C_4 over GF(31) would trace about 8 MB
+    for spec, n in ((FieldSpec(31), 4), (FieldSpec(13), 5)):
+        tracemalloc.start()
+        try:
+            got = sum(1 for _ in configuration_index_tuples(spec, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == count_configurations(spec.q, n)
+        assert peak < 2 * 2**20, (spec.q, n, peak)
+
+
+def test_stream_errors_wait_for_the_first_next():
+    # the call returns a stream; arguments and budget are checked on next()
+    for args, kwargs, error in (
+        ((F3, 3, "plus"), {}, OddNWithSignFilter),
+        ((F3, 1), {}, ValueError),
+        ((F3, 4, "none"), {}, ValueError),
+        ((F3, 5), {"budget": 100}, BudgetExceeded),
+    ):
+        stream = configuration_index_tuples(*args, **kwargs)
+        with pytest.raises(error):
+            next(stream)
 
 
 def test_sign_filter_requires_even_n():
