@@ -135,7 +135,7 @@ def _verify_rows(spec, args):
                 yield check, ("n", n), got, forms[key], got == forms[key]
     if args.which in ("partitions", "all"):
         for n in range(2, args.max_n + 1):
-            counts = partitions.cyclic_partition_counts(n)
+            counts = partitions.cyclic_partition_counts(n, args.budget)
             closed_ok = all(
                 counts[k] == partitions.a_kn_closed_form(k, n) for k in range(2, n + 1)
             )

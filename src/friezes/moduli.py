@@ -184,7 +184,7 @@ def _walk(
     is built on the first visit of its key from one list of tail paths, and
     ``map(prefix.__add__, tails)`` emits its tuples, so no tuple is built and
     then discarded.  Prefixes and tail paths grow the same way, one point at
-    a time, like search._prefix_products.
+    a time, as in search._prefix_products and partitions._rgs_chunks.
 
     The full walk takes s = max(1, min(n // 2, n - 3)), so the table holds
     about (q + 1)^2 q^s <= |C_n|/q tails for n >= 4.  Its prefixes are the

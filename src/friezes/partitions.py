@@ -10,10 +10,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import reduce
+from itertools import chain, compress
 from typing import Iterator, Sequence
 
-from .errors import DEFAULT_BUDGET, NonIntegralResult
+from .errors import DEFAULT_BUDGET, BudgetExceeded, NonIntegralResult
 from .formulas import count_configurations
 from .gf import FieldSpec
 from .moduli import configuration_index_tuples
@@ -40,92 +41,81 @@ class CyclicPartition:
 
 
 def _rgs_chunks(
-    n: int, k: int | None
+    n: int,
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]], list[int]]]:
-    """The walk behind _rgs_walk: (prefix, tails, blocks) for every prefix in
-    lex order, where blocks[j] is the block count of prefix + tails[j]."""
-    if n < 2:
-        return
+    """The walk behind _rgs_walk, for n >= 2: (prefix, tails, blocks) for every
+    prefix b_0..b_{m-1}, m = max(1, n - 2), in lex order, where blocks[j] is
+    the block count of prefix + tails[j].
 
-    def children(i, used, last):
-        """(b_i, blocks used through b_i) for every allowed b_i, in order."""
-        if k is not None and used + (n - i) < k:
-            return []
-        top = used if (k is None or used < k) else used - 1
-        return [
-            (b, max(used, b + 1))
-            for b in range(top + 1)
+    One step, grow, extends each (string, blocks used, last block) by every
+    block allowed at position i, in order.  The prefixes are grow chained
+    lazily from (0,) over positions 1..m-1, so no level is a list and the
+    chain holds O(n) state.  The tails b_m..b_{n-1} are read from a table
+    keyed by (blocks used, last block); an entry is built on first visit by
+    growing ((), used, last) over positions m..n-1 with the same grow."""
+
+    def grow(level, i):
+        """Each (string, used, last) extended by every b <= used with b != last,
+        and b != b_0 = 0 at the last position, in order and lazily."""
+        return (
+            (s + (b,), max(used, b + 1), b)
+            for s, used, last in level
+            for b in range(used + 1)
             if b != last and (b or i < n - 1)
-        ]
-
-    def finish(i, used, last):
-        if i == n:
-            return [((), used)] if k is None or used == k else []
-        return [
-            ((b,) + rest, blocks)
-            for b, after in children(i, used, last)
-            for rest, blocks in finish(i + 1, after, b)
-        ]
+        )
 
     m = max(1, n - 2)
     table = {}
-    stack = [((0,), 1)]
-    while stack:
-        prefix, used = stack.pop()
-        last = prefix[-1]
-        if len(prefix) < m:
-            stack += [
-                (prefix + (b,), after)
-                for b, after in reversed(children(len(prefix), used, last))
-            ]
-            continue
+    for prefix, used, last in reduce(grow, range(1, m), [((0,), 1, 0)]):
         entry = table.get((used, last))
         if entry is None:
-            done = finish(m, used, last)
-            entry = table[used, last] = ([t for t, _ in done], [b for _, b in done])
-        yield prefix, entry[0], entry[1]
+            done = list(reduce(grow, range(m, n), [((), used, last)]))
+            entry = table[used, last] = ([t for t, _, _ in done], [u for _, u, _ in done])
+        yield prefix, *entry
 
 
-def _rgs_walk(n: int, k: int | None) -> Iterator[tuple[int, ...]]:
-    """Restricted-growth strings of length n with b_i != b_{i-1} and
-    b_n != b_1, optionally with exactly k blocks, in lexicographic order.
-    Prunes on the adjacency constraint and on block-count feasibility.
-
-    A loop over an explicit stack (_rgs_chunks) walks only the prefixes
-    b_0..b_{m-1}, m = max(1, n - 2); each prefix emits the last n - m
-    positions from a table keyed by (blocks used, last block) with
-    ``yield from map(prefix.__add__, tails)``.  The tables are built on
-    first visit by the same rules as the walk, hold at most n^2 keys of at
-    most n^2 tails each, and list their tails in lex order, so the strings
-    come out in the same order as a lex-ordered product of restricted-growth
-    strings filtered by adjacency and block count."""
-    for prefix, tails, _ in _rgs_chunks(n, k):
+def _rgs_walk(n: int) -> Iterator[tuple[int, ...]]:
+    """Restricted-growth strings of length n >= 2 with b_i != b_{i-1} and
+    b_{n-1} != b_0, in lexicographic order: each prefix of _rgs_chunks joined
+    to its tails with ``map(prefix.__add__, tails)``.  The table's tails are
+    in lex order, so the strings come out in the same order as a lex-ordered
+    product of restricted-growth strings filtered by adjacency."""
+    for prefix, tails, _ in _rgs_chunks(n):
         yield from map(prefix.__add__, tails)
 
 
 def enumerate_cyclic_partitions(n: int, k: int) -> Iterator[CyclicPartition]:
-    """Every valid partition of the n-cycle into exactly k blocks, once each."""
+    """Every valid partition of the n-cycle into exactly k blocks, once each,
+    in the lex order of their restricted-growth strings."""
     if n < 2 or not 1 <= k <= n:
         raise ValueError(f"need n >= 2 and 1 <= k <= n, got n={n}, k={k}")
-    for assignment in _rgs_walk(n, k):
-        blocks = [[] for _ in range(k)]
-        for point, b in enumerate(assignment, start=1):
-            blocks[b].append(point)
-        yield CyclicPartition(n, tuple(frozenset(b) for b in blocks))
+    for prefix, tails, counts in _rgs_chunks(n):
+        for tail in compress(tails, map(k.__eq__, counts)):
+            blocks = [[] for _ in range(k)]
+            for point, b in enumerate(prefix + tail, start=1):
+                blocks[b].append(point)
+            yield CyclicPartition(n, tuple(frozenset(b) for b in blocks))
 
 
 def count_cyclic_partitions(n: int, k: int) -> int:
     if n < 2 or not 1 <= k <= n:
         raise ValueError(f"need n >= 2 and 1 <= k <= n, got n={n}, k={k}")
-    return sum(1 for _ in _rgs_walk(n, k))
+    return cyclic_partition_counts(n)[k]
 
 
-def cyclic_partition_counts(n: int) -> list[int]:
+def cyclic_partition_counts(n: int, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Counts for every block count at once: entry k is the number of valid
     partitions of the n-cycle into k blocks (one walk, no per-k reruns).
     Every string of the walk adds its block count, read from the tail table
-    of its prefix, so the strings themselves are never built."""
-    tally = Counter(chain.from_iterable(b for _, _, b in _rgs_chunks(n, None)))
+    of its prefix, so the strings themselves are never built.  Raises
+    BudgetExceeded before walking if the walk would yield more than budget
+    strings, sum_k A_{k,n} by the closed form."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got n={n}")
+    strings = sum(a_kn_closed_form(k, n) for k in range(2, n + 1))
+    if strings > budget:
+        raise BudgetExceeded(f"{strings} cyclic partition strings exceed budget {budget}")
+    tally = Counter(chain.from_iterable(b for _, _, b in _rgs_chunks(n)))
     return [tally[k] for k in range(n + 1)]
 
 
@@ -207,7 +197,7 @@ def verify_partition_identity(
     configurations whose pattern has k blocks must number A_{k,n} times the
     number of ordered choices of k distinct points of P^1."""
     q = spec.q
-    counts = cyclic_partition_counts(n)
+    counts = cyclic_partition_counts(n, budget)
     rhs = partition_identity_rhs(q, n, counts)
     lhs = count_configurations(q, n)
 

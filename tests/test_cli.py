@@ -65,6 +65,18 @@ def test_enumerate_budget_exceeded(capsys):
     assert "budget" in err.lower()
 
 
+def test_verify_partitions_honours_the_budget(capsys):
+    # the walk at n = 9 would yield 3425 strings; it is refused before it runs
+    code, out, err = run(
+        capsys,
+        "--budget", "1000", "verify", "--field", "2", "--which", "partitions",
+        "--max-n", "16",
+    )
+    assert code == 2
+    assert out == ""
+    assert "budget" in err.lower()
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("FRIEZES_BUDGET", "100")
     code, _, err = run(capsys, "enumerate", "--field", "3", "--width", "6")

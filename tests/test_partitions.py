@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 from operator import ne
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from friezes import FieldSpec
+from friezes.errors import BudgetExceeded
 from friezes.formulas import count_configurations
 from friezes.partitions import (
     CyclicPartition,
@@ -104,12 +106,22 @@ def _cyclic_rgs_brute_force(n):
     return out
 
 
+def _partition_of(n, t):
+    """The partition of 1..n whose restricted-growth string is t."""
+    k = len(set(t))
+    return CyclicPartition(
+        n, tuple(frozenset(i + 1 for i, b in enumerate(t) if b == j) for j in range(k))
+    )
+
+
 def test_walk_matches_filtered_product():
     for n in range(2, 11):
         strings = _cyclic_rgs_brute_force(n)
-        for k in [None, *range(1, n + 1)]:
-            expected = [t for t in strings if k is None or len(set(t)) == k]
-            assert list(_rgs_walk(n, k)) == expected
+        assert list(_rgs_walk(n)) == strings
+        for k in range(1, n + 1):
+            expected = [_partition_of(n, t) for t in strings if len(set(t)) == k]
+            assert list(enumerate_cyclic_partitions(n, k)) == expected
+            assert count_cyclic_partitions(n, k) == len(expected)
         blocks = [len(set(t)) for t in strings]
         assert cyclic_partition_counts(n) == [blocks.count(k) for k in range(n + 1)]
 
@@ -122,6 +134,31 @@ def test_walk_counts_for_eleven_and_twelve_points():
     assert cyclic_partition_counts(12) == [
         0, 0, 1, 682, 21461, 118008, 210232, 159060, 58542, 11165, 1111, 54, 1
     ]
+
+
+def test_walk_memory_stays_small():
+    # the prefix levels are chained lazily and the table holds 2-point tails;
+    # a walk that keeps the level before last as a list traces about 0.45 MB
+    tracemalloc.start()
+    try:
+        counts = cyclic_partition_counts(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts) == 580317
+    assert peak < 0.25 * 2**20, peak
+
+
+def test_walk_budget_is_checked_before_walking():
+    # sum_k A_{k,n} strings: 715 at n = 8, 3425 at n = 9, 580317 at n = 12
+    assert sum(cyclic_partition_counts(8, budget=715)) == 715
+    with pytest.raises(BudgetExceeded):
+        cyclic_partition_counts(9, budget=3424)
+    with pytest.raises(BudgetExceeded):
+        cyclic_partition_counts(40, budget=10**8)
+    # C_12 over GF(2) fits in this budget ((q+1)^n = 531441); the walk does not
+    with pytest.raises(BudgetExceeded, match="partition"):
+        verify_partition_identity(FieldSpec(2), 12, budget=550000)
 
 
 def test_falling_factorial_basis_elements():
@@ -190,3 +227,6 @@ def test_input_validation():
         a_kn_closed_form(6, 5)
     with pytest.raises(ValueError):
         count_cyclic_partitions(1, 1)
+    for n in (1, 0, -1):
+        with pytest.raises(ValueError):
+            cyclic_partition_counts(n)
