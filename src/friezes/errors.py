@@ -1,4 +1,4 @@
-"""Shared exception types and the default work budget."""
+"""Shared exception types, the default work budget and the one rule enforcing it."""
 
 
 class FriezeError(Exception):
@@ -52,3 +52,19 @@ class DescriptorError(FriezeError):
 # Cap on elementary operations (matrix multiplications, configuration visits)
 # accepted by the enumeration routines unless the caller overrides it.
 DEFAULT_BUDGET = 10**8
+
+
+def check_budget(terms, budget: int, what: str) -> None:
+    """Raise BudgetExceeded at the first partial sum of terms above budget.
+    A term is an int >= 0 or a pair (base, e), base >= 2, for base**e; terms
+    are read lazily, and a power with e > budget.bit_length() is above budget
+    (2**e > budget) without being built.  The message names the budget and
+    the unit `what`, not the estimate, which may be too long to print."""
+    total = 0
+    for term in terms:
+        if isinstance(term, tuple):
+            base, e = term
+            term = base**e if e <= budget.bit_length() else budget + 1
+        total += term
+        if total > budget:
+            raise BudgetExceeded(f"{what} exceed budget {budget}")

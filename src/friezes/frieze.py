@@ -53,7 +53,7 @@ class FirstRow:
     def __post_init__(self):
         if len(self.codes) < 3:
             raise ValueError("a first row needs at least 3 entries")
-        if not all(isinstance(c, int) and 0 <= c < self.spec.q for c in self.codes):
+        if not all(type(c) is int and 0 <= c < self.spec.q for c in self.codes):
             raise ValueError(f"codes {self.codes} out of range for GF({self.spec.q})")
 
     @classmethod
@@ -344,12 +344,12 @@ def parse_frieze_json(text: str) -> Frieze:
     doc = json.loads(text)
     spec = parse_field_descriptor(doc["field"])
     row = FirstRow.from_codes(spec, map(spec.checked_code, doc["first_row"]))
-    if row.width != doc["width"]:
+    if type(doc["width"]) is not int or row.width != doc["width"]:
         raise ValueError("width inconsistent with first row length")
     built = frieze_from_first_row(row)
     if isinstance(built, NotAFrieze):
         raise ValueError("first row does not generate a frieze")
     rows = [list(built._rows[r]) for r in range(-1, built.width + 3)]
-    if rows != [list(map(int, r)) for r in doc["rows"]]:
+    if rows != [list(map(spec.checked_code, r)) for r in doc["rows"]]:
         raise ValueError("stored rows disagree with the recursion")
     return built

@@ -318,9 +318,9 @@ class FieldSpec:
         return FieldElement(self, self._fold(digits))
 
     def checked_code(self, code: int) -> int:
-        """An element code read from input, which must lie in 0..q-1.  Unlike
-        element(), it never reduces an int modulo p."""
-        if not isinstance(code, int) or not 0 <= code < self.q:
+        """An element code read from input, which must be an int (not a bool)
+        in 0..q-1.  Unlike element(), it never reduces an int modulo p."""
+        if type(code) is not int or not 0 <= code < self.q:
             raise ValueError(f"code {code!r} out of range for GF({self.q})")
         return code
 

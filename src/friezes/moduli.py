@@ -38,11 +38,11 @@ from typing import Iterator, Sequence
 
 from .errors import (
     DEFAULT_BUDGET,
-    BudgetExceeded,
     CriterionFails,
     NotLiftable,
     OddN,
     OddNWithSignFilter,
+    check_budget,
 )
 from .frieze import FirstRow, matrix_criterion, row_products
 from .gf import FieldElement, FieldSpec, ProjPoint
@@ -61,7 +61,7 @@ class Configuration:
         if n < 2:
             raise ValueError("a configuration needs at least 2 points")
         q = self.spec.q
-        if not all(isinstance(i, int) and 0 <= i <= q for i in self.indices):
+        if not all(type(i) is int and 0 <= i <= q for i in self.indices):
             raise ValueError(f"point indices {self.indices} out of range 0..{q}")
         for i in range(n):
             if self.indices[i] == self.indices[(i + 1) % n]:
@@ -142,14 +142,6 @@ def _sign_products(spec: FieldSpec, tup: tuple[int, ...]) -> tuple[int, int, lis
     return podd, peven, dets
 
 
-def _check_budget(spec: FieldSpec, n: int, budget: int):
-    space = (spec.q + 1) ** n
-    if space > budget:
-        raise BudgetExceeded(
-            f"(q+1)^n = {space} configuration candidates exceed budget {budget}"
-        )
-
-
 def configuration_index_tuples(
     spec: FieldSpec,
     n: int,
@@ -213,17 +205,18 @@ def _walk(
         raise OddNWithSignFilter("sign classes only exist for even n")
     if n < 2:
         raise ValueError("configurations need n >= 2")
-    _check_budget(spec, n, budget)
+    check_budget([(spec.q + 1, n)], budget, "(q+1)^n configuration candidates")
     points = range(spec.q + 1)
     if sign_filter == "all":
         ones = [[1] * len(points)] * len(points)
         mul, target, ratio = [[1, 1]] * 2, 1, (ones, ones)  # 1 * 1 = 1
     else:
-        codes, inv = range(spec.q), spec.inv_code
+        codes = range(spec.q)
         # fields above gf.TABLE_LIMIT have no op tables; the walk builds one
         mul = spec._mul or [[spec.mul_code(a, b) for b in codes] for a in codes]
         dets = _det_table(spec)
-        ratio = (dets, [[inv(d) if d else 0 for d in row] for row in dets])
+        inv = [0] + [spec.inv_code(c) for c in codes[1:]]  # per code, not per pair
+        ratio = (dets, [[inv[d] for d in row] for row in dets])
         target = 1 if sign_filter == "plus" else spec.neg_code(1)
     inverse = ratio[::-1]  # u takes e_i^-1 for even i and e_i for odd i
     s = (2 if n >= 5 else 1) if cross_section else max(1, min(n // 2, n - 3))
@@ -341,8 +334,8 @@ def pgl2_orbit_count(
     the smallest key, so it comes first.  The sign class is PGL2-invariant,
     so a signed count walks the keys in its class.  The keys are streamed in
     lex order as prefixes (0, 1, ..., 2) joined to tail tables, about
-    q^(n-3) tuples where C_n has about q^n; the budget still refuses (q+1)^n
-    candidates above it, like configuration_index_tuples."""
+    q^(n-3) tuples where C_n has about q^n; the budget still charges (q+1)^n
+    candidates, like configuration_index_tuples, through errors.check_budget."""
     keys = tuple(_walk(spec, n, sign_filter, budget, cross_section=True))
     q = spec.q
     sizes = [q**3 - q] * len(keys)

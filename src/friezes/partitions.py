@@ -14,7 +14,7 @@ from functools import reduce
 from itertools import chain, compress
 from typing import Iterator, Sequence
 
-from .errors import DEFAULT_BUDGET, BudgetExceeded, NonIntegralResult
+from .errors import DEFAULT_BUDGET, NonIntegralResult, check_budget
 from .formulas import count_configurations
 from .gf import FieldSpec
 from .moduli import configuration_index_tuples
@@ -112,9 +112,8 @@ def cyclic_partition_counts(n: int, budget: int = DEFAULT_BUDGET) -> list[int]:
     strings, sum_k A_{k,n} by the closed form."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    strings = sum(a_kn_closed_form(k, n) for k in range(2, n + 1))
-    if strings > budget:
-        raise BudgetExceeded(f"{strings} cyclic partition strings exceed budget {budget}")
+    strings = (a_kn_closed_form(k, n) for k in range(2, n + 1))
+    check_budget(strings, budget, "cyclic partition strings")
     tally = Counter(chain.from_iterable(b for _, _, b in _rgs_chunks(n)))
     return [tally[k] for k in range(n + 1)]
 

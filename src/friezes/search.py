@@ -43,7 +43,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DEFAULT_BUDGET, BudgetExceeded
+from .errors import DEFAULT_BUDGET, check_budget
 from .formulas import count_friezes
 from .frieze import FirstRow, dihedral_orbit_codes
 from .gf import FieldSpec
@@ -75,13 +75,6 @@ class EnumerationResult:
         for rep, _ in self.orbits:
             rows |= dihedral_orbit_codes(rep.codes)
         return sorted(rows)
-
-
-def _estimated_work(q: int, n: int, strategy: str) -> int:
-    if strategy == "naive":
-        return sum(q**d for d in range(1, n))
-    nl = (n + 1) // 2
-    return 2 * (q**nl + q ** (n - nl))
 
 
 def _prefix_products(spec: FieldSpec, length: int, firsts, low: int = 0) -> list[tuple]:
@@ -240,12 +233,9 @@ def enumerate_friezes(
         raise ValueError("enumeration needs width >= 1")
     if strategy not in ("naive", "mitm"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    n = width + 3
-    work = _estimated_work(spec.q, n, strategy)
-    if work > config.budget:
-        raise BudgetExceeded(
-            f"estimated {work} matrix operations exceed budget {config.budget}"
-        )
+    n, q = width + 3, spec.q
+    work = range(1, n) if strategy == "naive" else [(n + 1) // 2, n // 2] * 2
+    check_budget(((q, e) for e in work), config.budget, "estimated matrix operations")
     rows = []
     if strategy == "naive":
         for first in range(spec.q):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -63,6 +64,17 @@ def test_enumerate_budget_exceeded(capsys):
     )
     assert code == 2
     assert "budget" in err.lower()
+    # estimates of 10^150000 and more are refused from their exponents or
+    # first partial sums, never summed in full or printed
+    for width, strategy in ((1000000, "mitm"), (100000, "naive")):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "enumerate", "--field", "2", "--width", str(width), "--strategy", strategy,
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "budget 100000000" in err and len(err) < 200
 
 
 def test_verify_partitions_honours_the_budget(capsys):

@@ -223,6 +223,19 @@ def test_parse_json_rejects_codes_outside_the_field():
     doc["first_row"] = [3, 1, 1, 2, 2]
     with pytest.raises(ValueError, match="out of range"):
         parse_frieze_json(json.dumps(doc))
+    # JSON true/false are not codes, in the first row or in the stored rows
+    for key in ("first_row", "rows"):
+        doc = frieze_to_json_dict(built)
+        text = json.dumps(doc[key]).replace("0", "false").replace("1", "true")
+        doc[key] = json.loads(text)
+        with pytest.raises(ValueError, match="out of range"):
+            parse_frieze_json(json.dumps(doc))
+    # the width is an int: true stands for 1 and 2.0 for 2, which these rows have
+    for codes, width in (((0, 1, 0, 1), True), ((1, 1, 1, 0, 0), 2.0)):
+        doc = frieze_to_json_dict(frieze_from_first_row(row(F2, codes)))
+        doc["width"] = width
+        with pytest.raises(ValueError, match="width"):
+            parse_frieze_json(json.dumps(doc))
 
 
 def test_first_row_needs_three_entries():
@@ -243,7 +256,10 @@ def test_row_products_match_a_matrix_fold():
 
 
 def test_first_row_rejects_codes_outside_the_field():
-    for spec, codes in ((F5, (5, 1, 1)), (F5, (-1, 1, 1)), (F4, (4, 0, 0))):
+    for spec, codes in (
+        (F5, (5, 1, 1)), (F5, (-1, 1, 1)), (F4, (4, 0, 0)),
+        (F5, (True, 0, 1)), (F5, (1.0, 0, 1)),
+    ):
         with pytest.raises(ValueError, match="out of range"):
             FirstRow(spec, codes)
     with pytest.raises(ValueError, match="out of range"):

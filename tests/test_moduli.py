@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from collections import Counter
 from operator import itemgetter
+from unittest import mock
 
 import pytest
 
@@ -204,6 +205,28 @@ def test_sign_filter_requires_even_n():
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         list(configuration_index_tuples(F3, 5, budget=100))
+    # (q+1)^n = 3^100000 is above the budget by its exponent alone; it is
+    # neither built nor printed
+    for call in (
+        lambda: next(configuration_index_tuples(F2, 10**5)),
+        lambda: pgl2_orbit_count(F2, 10**5),
+    ):
+        with pytest.raises(BudgetExceeded) as info:
+            call()
+        assert len(str(info.value)) < 200
+
+
+def test_signed_walk_inverts_each_code_once():
+    # GF(257) has no op tables, so each inv_code call is a pow_code
+    spec = FieldSpec(257)
+    counts = count_signed_configurations(spec.q, spec.char_is_2, 2)
+    for sign, expected in (("plus", counts.plus), ("minus", counts.minus)):
+        with mock.patch.object(
+            FieldSpec, "inv_code", autospec=True, side_effect=FieldSpec.inv_code
+        ) as inv:
+            got = sum(1 for _ in configuration_index_tuples(spec, 2, sign))
+        assert inv.call_count <= spec.q
+        assert got == expected
 
 
 def test_sign_class_alternating():
@@ -549,7 +572,9 @@ def test_configuration_labels_round_trip():
 
 
 def test_configuration_rejects_indices_outside_the_line():
-    for spec, indices in ((F5, (0, 6)), (F5, (-1, 0)), (F4, (0, 5, 1))):
+    for spec, indices in (
+        (F5, (0, 6)), (F5, (-1, 0)), (F4, (0, 5, 1)), (F5, (True, 0)), (F5, (1.0, 0))
+    ):
         with pytest.raises(ValueError, match="out of range"):
             Configuration(spec, indices)
     with pytest.raises(ValueError, match="out of range"):

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 from fractions import Fraction
 from operator import ne
@@ -159,6 +160,16 @@ def test_walk_budget_is_checked_before_walking():
     # C_12 over GF(2) fits in this budget ((q+1)^n = 531441); the walk does not
     with pytest.raises(BudgetExceeded, match="partition"):
         verify_partition_identity(FieldSpec(2), 12, budget=550000)
+
+
+def test_budget_refuses_large_n_from_the_first_terms():
+    # A(3, n) alone is about 2^n / 6: the check stops there and does not sum
+    # the other A(k, n) or print the total
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="partition") as info:
+        cyclic_partition_counts(1000)
+    assert time.perf_counter() - start < 0.1
+    assert len(str(info.value)) < 200
 
 
 def test_falling_factorial_basis_elements():
