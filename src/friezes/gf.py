@@ -8,8 +8,9 @@ doubles as the serialization format.  Points of P^1 are indexed 0..q: index
 i < q is (i : 1) and q is (1 : 0).  FieldSpec.point_vector and point_index
 are the one place that convention is written; ProjPoint, Mat2.act and the
 PGL2 point permutations read them.  Fields with at most TABLE_LIMIT
-elements precompute full operation tables at construction; larger fields
-reduce polynomials on the fly.  The tables of GF(p^k) are built from the
+elements build full operation tables at construction, larger ones on first
+use by the search or the signed C_n walk; until then their code ops reduce
+polynomials on the fly.  The tables of GF(p^k) are built from the
 powers of a primitive element, not from q^2 polynomial products; codes and
 table values are those of the raw operations.
 """
@@ -91,8 +92,9 @@ class FieldSpec:
     """The finite field GF(p^k) with a fixed element order and op tables.
 
     Immutable after construction, apart from caches filled on use; safe to
-    share between threads.  All low-level arithmetic is exposed on integer
-    codes (``add_code`` and friends); ``element`` wraps a code into a
+    share between threads.  Above TABLE_LIMIT the op tables are such a cache
+    (see _op_tables).  All low-level arithmetic is exposed on integer codes
+    (``add_code`` and friends); ``element`` wraps a code into a
     :class:`FieldElement`.  ``descriptor`` is the canonical string "p",
     "p^k" or "p^k:c0,c1,...,1", with the modulus suffix only when the
     modulus is not the default one.
@@ -213,13 +215,15 @@ class FieldSpec:
         In GF(p^k), add[a][b] = add_p[a0][b0] + p add[a'][b'] with code
         a = a0 + p a', from the table of one degree less.  The powers of the
         smallest code g >= 2 of order q - 1 give exp, stored twice over so
-        that a b = exp[log a + log b] needs no reduction.
+        that a b = exp[log a + log b] needs no reduction.  The tables are
+        built in locals and published with _inv last, so a thread that sees
+        _inv set sees all five.
         """
         q, p = self.q, self.p
         add = [[(a + b) % p for b in range(p)] for a in range(p)]
         if self.k == 1:
-            self._mul = [[a * b % p for b in range(p)] for a in range(p)]
-            self._inv = [None] + [pow(a, p - 2, p) for a in range(1, p)]
+            mul = [[a * b % p for b in range(p)] for a in range(p)]
+            inv = [None] + [pow(a, p - 2, p) for a in range(1, p)]
         else:
             self._digit_cache = [self._digits(c) for c in range(q)]
             add_p = add
@@ -236,11 +240,20 @@ class FieldSpec:
             log = {x: i for i, x in enumerate(exp)}
             logs = [log[a] for a in range(1, q)]
             exp += exp
-            self._mul = [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
-            self._inv = [None] + [exp[q - 1 - i] for i in logs]
-        self._add = add
-        self._neg = [row.index(0) for row in add]
-        self._sub = [[row[b] for b in self._neg] for row in add]
+            mul = [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
+            inv = [None] + [exp[q - 1 - i] for i in logs]
+        neg = [row.index(0) for row in add]
+        sub = [[row[b] for b in neg] for row in add]
+        self._add, self._sub, self._mul, self._neg, self._inv = add, sub, mul, neg, inv
+
+    def _op_tables(self) -> tuple[list, list, list, list, list]:
+        """(add, sub, mul, neg, inv) with add[a][b] = a + b and so on, and
+        inv[0] = None: built on the first call when q > TABLE_LIMIT and kept.
+        Every caller already does Omega(q^2) work under its budget, so the
+        3 q^2 entries (about 1.6 MiB for GF(257)) change no budget."""
+        if self._inv is None:
+            self._build_tables()
+        return self._add, self._sub, self._mul, self._neg, self._inv
 
     # -- public code ops -----------------------------------------------
 
@@ -262,17 +275,10 @@ class FieldSpec:
 
     def line_codes(self, a: int, b: int) -> list[int]:
         """The codes of a x - b for every x, in code order: one row of the
-        SL2 step, read from the op tables when the field has them."""
-        if self._mul is not None:
-            shift = self._add[self._neg[b]]
-            return [shift[ax] for ax in self._mul[a]]
-        if self.k == 1:
-            p = self.p
-            if a == 0:
-                return [-b % p] * p
-            return [y % p for y in range(-b, a * p - b, a)]
-        mul, sub = self.mul_code, self.sub_code
-        return [sub(mul(a, x), b) for x in range(self.q)]
+        SL2 step, read from the op tables (built on first use)."""
+        add, _, mul, neg, _ = self._op_tables()
+        shift = add[neg[b]]
+        return [shift[ax] for ax in mul[a]]
 
     def inv_code(self, a: int) -> int:
         if a == 0:
@@ -637,8 +643,9 @@ def parse_field_descriptor(text: str) -> FieldSpec:
     """Build a FieldSpec from a descriptor like "5", "2^2" or "2^2:1,1,1".
 
     The optional modulus suffix lists coefficients constant term first.
-    Results are shared per process, at most 32 of them (GF(256) holds about
-    1.6 MiB of tables); a bad descriptor raises on every call.
+    Results are shared per process, at most 32 of them, each with its op
+    tables once built: 3 q^2 entries, about 1.6 MiB for GF(256) or GF(257)
+    and 10 MiB for GF(2^9).  A bad descriptor raises on every call.
     """
     text = text.strip()
     body, _, mod_part = text.partition(":")

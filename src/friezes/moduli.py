@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -113,8 +114,8 @@ def parse_points(spec: FieldSpec, labels: Sequence[str]) -> Configuration:
 
 def _det(spec: FieldSpec, i: int, j: int) -> int:
     """det(v_i, v_j) of the lifts v = spec.point_vector of points i and j, in
-    closed form: the one definition of the determinant, from which the
-    signed walk builds its q^2 table."""
+    closed form: the one definition of the determinant, from which
+    _ratio_tables builds the signed walk's q^2 tables."""
     q = spec.q
     if j == q:
         return 0 if i == q else spec.neg_code(1)
@@ -125,6 +126,17 @@ def _det_table(spec: FieldSpec) -> list[list[int]]:
     """_det of every pair of points, for the signed walk's tail tables."""
     points = range(spec.q + 1)
     return [[_det(spec, i, j) for j in points] for i in points]
+
+
+@lru_cache(maxsize=32)
+def _ratio_tables(spec: FieldSpec) -> tuple[list[list[int]], list[list[int]]]:
+    """The signed walk's edge factors: _det_table and its entrywise inverse,
+    built once per spec (at most 32 kept, like gf.parse_field_descriptor).
+    The inverse reads the spec's inv table per code; det 0 lies only on the
+    diagonal, which no walk reads, and there it is inv[0] = None."""
+    inv = spec._op_tables()[4]
+    dets = _det_table(spec)
+    return dets, [[inv[d] for d in row] for row in dets]
 
 
 def _sign_products(spec: FieldSpec, tup: tuple[int, ...]) -> tuple[int, int, list[int]]:
@@ -195,9 +207,11 @@ def _walk(
     in characteristic 2).  A table entry groups its tails by the ratio of
     the s + 1 edges they close, from the inner-edge ratio each tail path
     carries, so a prefix reads the tails of group u: one lookup, no
-    per-tuple product.  Products are read from mul, the table mul[a][b] =
-    a * b.  The unsigned walk reads every determinant as 1, with the table
-    of 1 * 1 = 1, so every ratio is 1 and one group holds every tail.
+    per-tuple product.  Products are read from mul, the spec's op table
+    mul[a][b] = a * b, built on first use above gf.TABLE_LIMIT; the budget
+    already charges (q + 1)^n >= q^2.  The unsigned walk needs no field
+    arithmetic: it reads every determinant as 1, with the table of
+    1 * 1 = 1, so every ratio is 1 and one group holds every tail.
     """
     if sign_filter not in ("all", "plus", "minus"):
         raise ValueError(f"unknown sign filter {sign_filter!r}")
@@ -211,12 +225,7 @@ def _walk(
         ones = [[1] * len(points)] * len(points)
         mul, target, ratio = [[1, 1]] * 2, 1, (ones, ones)  # 1 * 1 = 1
     else:
-        codes = range(spec.q)
-        # fields above gf.TABLE_LIMIT have no op tables; the walk builds one
-        mul = spec._mul or [[spec.mul_code(a, b) for b in codes] for a in codes]
-        dets = _det_table(spec)
-        inv = [0] + [spec.inv_code(c) for c in codes[1:]]  # per code, not per pair
-        ratio = (dets, [[inv[d] for d in row] for row in dets])
+        mul, ratio = spec._op_tables()[2], _ratio_tables(spec)
         target = 1 if sign_filter == "plus" else spec.neg_code(1)
     inverse = ratio[::-1]  # u takes e_i^-1 for even i and e_i for odd i
     s = (2 if n >= 5 else 1) if cross_section else max(1, min(n // 2, n - 3))

@@ -109,10 +109,16 @@ def cyclic_partition_counts(n: int, budget: int = DEFAULT_BUDGET) -> list[int]:
     Every string of the walk adds its block count, read from the tail table
     of its prefix, so the strings themselves are never built.  Raises
     BudgetExceeded before walking if the walk would yield more than budget
-    strings, sum_k A_{k,n} by the closed form."""
+    strings, sum_k A_{k,n} by the closed form.  A_{3,n} = (2^n + 2(-1)^n)/6
+    >= 2^(n-3) for n >= 3, so when n - 3 > budget.bit_length() it is charged
+    as the pair (2, n - 3): check_budget refuses that without building 2^n,
+    as it would refuse the exact term."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    strings = (a_kn_closed_form(k, n) for k in range(2, n + 1))
+    huge = n - 3 > budget.bit_length()
+    strings = (
+        (2, n - 3) if huge and k == 3 else a_kn_closed_form(k, n) for k in range(2, n + 1)
+    )
     check_budget(strings, budget, "cyclic partition strings")
     tally = Counter(chain.from_iterable(b for _, _, b in _rgs_chunks(n)))
     return [tally[k] for k in range(n + 1)]

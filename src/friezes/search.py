@@ -22,10 +22,10 @@ entries of a row follow from the others.  Two strategies:
 Both walk prefixes with _prefix_products, the search's copy of the SL2 step
 (frieze.row_products is the single-row one).  It steps all q children of a
 prefix at once: their new first row (x p00 - p10, x p01 - p11) is two rows of
-FieldSpec.line_codes, read from the op tables where the field has them.  The
-completions read table rows too (_mul[p01], _add[1], ...), with a code-op
-branch for fields above gf.TABLE_LIMIT.  Rows stay code tuples; only orbit
-representatives become FirstRows.
+FieldSpec.line_codes.  The completions read rows of the op tables too
+(mul[p01], add[1], ...).  Every field has them: a field above gf.TABLE_LIMIT
+builds them on its first search, whose budget charges at least 4 q^2.  Rows
+stay code tuples; only orbit representatives become FirstRows.
 
 Both search only min-first rows, whose first code is their smallest: the
 smallest member of a dihedral orbit is one, so they are enough for the
@@ -101,8 +101,8 @@ def _naive_chunk(spec: FieldSpec, n: int, first: int) -> list[tuple[int, ...]]:
     scanned over the codes >= first, and the last three entries are solved
     from the prefix product and kept when all three are >= first."""
     codes = range(spec.q)
-    neg = spec.neg_code
-    neg1 = neg(1)
+    add, sub, mul, neg, inv = spec._op_tables()
+    inc, neg1 = add[1], neg[1]
     leaves = _prefix_products(spec, n - 3, (first,), first)
     out = []
     # M(z) M(p00) M(y) = -P^(-1) = [[-p11, p01], [p10, -p00]] needs
@@ -110,31 +110,16 @@ def _naive_chunk(spec: FieldSpec, n: int, first: int) -> list[tuple[int, ...]]:
     # a_{n-1} = p00 must be >= first.  When p00 = 0 every y works and the z
     # are the row -p01 y + p11; only chunk 0 keeps those rows.
     least = max(first, 1)
-    if spec._mul is not None:
-        mul, sub, inv, inc = spec._mul, spec._sub, spec._inv, spec._add[1]
-        for prefix, p00, p01, p10, p11 in leaves:
-            if p00 >= least:
-                y = mul[inc[p10]][inv[p00]]
-                z = sub[p11][mul[y][p01]]
-                if y >= first and z >= first:
-                    out.append(prefix + (y, p00, z))
-            elif p10 == neg1 and not first:
-                out += [
-                    prefix + (y, 0, z)
-                    for y, z in zip(codes, spec.line_codes(neg(p01), neg(p11)))
-                ]
-        return out
-    mul, add, sub, inv = spec.mul_code, spec.add_code, spec.sub_code, spec.inv_code
     for prefix, p00, p01, p10, p11 in leaves:
         if p00 >= least:
-            y = mul(add(1, p10), inv(p00))
-            z = sub(p11, mul(y, p01))
+            y = mul[inc[p10]][inv[p00]]
+            z = sub[p11][mul[y][p01]]
             if y >= first and z >= first:
                 out.append(prefix + (y, p00, z))
         elif p10 == neg1 and not first:
             out += [
                 prefix + (y, 0, z)
-                for y, z in zip(codes, spec.line_codes(neg(p01), neg(p11)))
+                for y, z in zip(codes, spec.line_codes(neg[p01], neg[p11]))
             ]
     return out
 
@@ -145,7 +130,7 @@ def _mitm_table(spec: FieldSpec, nr: int):
     (mid, -r10, -r11, min(mid)) with mid = (a_{nl+1}, ..., a_{n-1}), in lex
     order of mid.  The signs are those _mitm_chunk needs, so it negates
     nothing; the min tag lets every chunk share this one table."""
-    neg = [spec.neg_code(x) for x in range(spec.q)]
+    neg = spec._op_tables()[3]
     table = defaultdict(list)
     for mid, r00, r01, r10, r11 in _prefix_products(spec, nr, range(spec.q)):
         table[(r00, neg[r01])].append((mid, neg[r10], neg[r11], min(mid)))
@@ -162,34 +147,23 @@ def _mitm_chunk(spec: FieldSpec, nl: int, first: int, table) -> list[tuple[int, 
     get = table.get
     codes = range(first, spec.q)
     line = spec.line_codes
+    add, sub, mul, _, _ = spec._op_tables()
     # The leaf of parent P and child x has rows (l00, l01) = (x p00 - p10,
     # x p01 - p11) and (l10, l11) = (p00, p01).  R L = [[0, -1], [1, -a_n]]:
     # R's first row is (l10, -l00), so the key (r00, -r01) is (p00, l00);
     # the (1, 0) entry follows from det R = det L = 1 and gives
     # a_n = (-r10) l01 + (-r11) l11.
-    parents = _prefix_products(spec, nl - 1, (first,), first)
-    if spec._mul is not None:
-        mul, add, sub = spec._mul, spec._add, spec._sub
-        for prefix, p00, p01, p10, p11 in parents:
-            for x, l00 in zip(codes, line(p00, p10)[first:]):
-                bucket = get((p00, l00))
-                if bucket:
-                    leaf = prefix + (x,)
-                    m01, m11 = mul[sub[mul[x][p01]][p11]], mul[p01]
-                    for mid, s10, s11, least in bucket:
-                        if least >= first:
-                            a_n = add[m01[s10]][m11[s11]]
-                            if a_n >= first:
-                                out.append(leaf + mid + (a_n,))
-        return out
-    mul, add, sub = spec.mul_code, spec.add_code, spec.sub_code
-    for prefix, p00, p01, p10, p11 in parents:
+    for prefix, p00, p01, p10, p11 in _prefix_products(spec, nl - 1, (first,), first):
         for x, l00 in zip(codes, line(p00, p10)[first:]):
-            for mid, s10, s11, least in get((p00, l00), ()):
-                if least >= first:
-                    a_n = add(mul(s10, sub(mul(x, p01), p11)), mul(s11, p01))
-                    if a_n >= first:
-                        out.append(prefix + (x,) + mid + (a_n,))
+            bucket = get((p00, l00))
+            if bucket:
+                leaf = prefix + (x,)
+                m01, m11 = mul[sub[mul[x][p01]][p11]], mul[p01]
+                for mid, s10, s11, least in bucket:
+                    if least >= first:
+                        a_n = add[m01[s10]][m11[s11]]
+                        if a_n >= first:
+                            out.append(leaf + mid + (a_n,))
     return out
 
 

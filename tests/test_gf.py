@@ -288,12 +288,15 @@ def _prime_power(q):
 @pytest.mark.parametrize(
     "q, samples",
     [(q, None) for q in range(2, 82) if _prime_power(q)]
-    + [(128, 2000), (169, 2000), (243, 2000), (256, 2000)],
+    + [(128, 2000), (169, 2000), (243, 2000), (256, 2000)]
+    + [(257, 2000), (289, 2000), (512, 2000), (729, 2000)],
 )
 def test_op_tables_match_raw_arithmetic(q, samples):
-    # the tables come from a primitive element and digit blocks; the raw
+    # the tables come from a primitive element and digit blocks, at
+    # construction up to gf.TABLE_LIMIT and on first use above it; the raw
     # polynomial operations are the reference
     spec = FieldSpec(*_prime_power(q))
+    add, sub, mul, neg, inv = spec._op_tables()
     codes = range(q)
     if samples is None:
         pairs = itertools.product(codes, codes)
@@ -301,18 +304,19 @@ def test_op_tables_match_raw_arithmetic(q, samples):
         rng = random.Random(q)
         pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(samples)]
     for a, b in pairs:
-        assert spec._add[a][b] == spec._add_raw(a, b)
-        assert spec._sub[a][b] == spec._add_raw(a, spec._neg_raw(b))
-        assert spec._mul[a][b] == spec._mul_raw(a, b)
-    assert spec._neg == [spec._neg_raw(a) for a in codes]
-    assert spec._inv[0] is None
-    assert all(spec._mul_raw(a, spec._inv[a]) == 1 for a in range(1, q))
+        assert add[a][b] == spec._add_raw(a, b)
+        assert sub[a][b] == spec._add_raw(a, spec._neg_raw(b))
+        assert mul[a][b] == spec._mul_raw(a, b)
+    assert neg == [spec._neg_raw(a) for a in codes]
+    assert inv[0] is None
+    assert all(spec._mul_raw(a, inv[a]) == 1 for a in range(1, q))
 
 
 @pytest.mark.parametrize("p, k", [(2, 2), (3, 4), (2, 8), (257, 1), (17, 2)])
 def test_line_codes_match_code_ops(p, k):
-    # tabled (GF(4), GF(81), GF(256)), untabled prime (GF(257)) and untabled
-    # extension (GF(17^2)): each reads the row a x - b its own way
+    # tabled at construction (GF(4), GF(81), GF(256)) or on first use
+    # (GF(257), GF(17^2)): the row a x - b is read from the op tables, so
+    # the raw operations, which read no table, are the reference
     spec = FieldSpec(p, k)
     q = spec.q
     rng = random.Random(q)
@@ -320,4 +324,4 @@ def test_line_codes_match_code_ops(p, k):
     pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(12)]
     for a, b in pairs:
         row = spec.line_codes(a, b)
-        assert row == [spec.sub_code(spec.mul_code(a, x), b) for x in range(q)]
+        assert row == [spec._add_raw(spec._mul_raw(a, x), spec._neg_raw(b)) for x in range(q)]

@@ -33,6 +33,7 @@ from friezes.formulas import (
     count_moduli_plus,
     count_signed_configurations,
 )
+from friezes import moduli
 from friezes.gf import pgl2_point_permutations
 from friezes.moduli import (
     _det_table,
@@ -159,15 +160,16 @@ def test_sign_class_matches_det_table_products():
 def test_stream_counts_on_large_fields():
     # GF(64) n = 3 joins 2-point prefixes, their second point expanded
     # lazily, to 1-point tails; GF(256) n = 2 joins 1-point prefixes to
-    # tails grouped by sign ratio.  Each table entry is built only for the
-    # (last, first) keys visited.
+    # tails grouped by sign ratio, and so does GF(17^2), above
+    # gf.TABLE_LIMIT, from op tables built on first use.  Each table entry
+    # is built only for the (last, first) keys visited.
     f64 = FieldSpec(2, 6)
     got = sum(1 for _ in configuration_index_tuples(f64, 3))
     assert got == count_configurations(64, 3)
-    f256 = FieldSpec(2, 8)
-    plus = sum(1 for _ in configuration_index_tuples(f256, 2, "plus"))
-    minus = sum(1 for _ in configuration_index_tuples(f256, 2, "minus"))
-    assert (plus, minus) == count_signed_configurations(256, True, 2)
+    for spec in (FieldSpec(2, 8), FieldSpec(17, 2)):
+        plus = sum(1 for _ in configuration_index_tuples(spec, 2, "plus"))
+        minus = sum(1 for _ in configuration_index_tuples(spec, 2, "minus"))
+        assert (plus, minus) == count_signed_configurations(spec.q, spec.char_is_2, 2)
 
 
 def test_unsigned_stream_memory_stays_near_c_n_over_q():
@@ -217,7 +219,8 @@ def test_budget_guard():
 
 
 def test_signed_walk_inverts_each_code_once():
-    # GF(257) has no op tables, so each inv_code call is a pow_code
+    # GF(257) has no op tables at construction, and there each inv_code call
+    # is a pow_code; the walk reads the inv table it builds on first use
     spec = FieldSpec(257)
     counts = count_signed_configurations(spec.q, spec.char_is_2, 2)
     for sign, expected in (("plus", counts.plus), ("minus", counts.minus)):
@@ -227,6 +230,16 @@ def test_signed_walk_inverts_each_code_once():
             got = sum(1 for _ in configuration_index_tuples(spec, 2, sign))
         assert inv.call_count <= spec.q
         assert got == expected
+
+
+def test_signed_walks_build_the_det_table_once_per_spec():
+    moduli._ratio_tables.cache_clear()
+    spec = FieldSpec(7)
+    with mock.patch.object(moduli, "_det_table", side_effect=moduli._det_table) as build:
+        for sign in ("plus", "minus"):
+            list(configuration_index_tuples(spec, 4, sign))
+        pgl2_orbit_count(FieldSpec(7), 4, "plus")
+    assert build.call_count == 1
 
 
 def test_sign_class_alternating():

@@ -3,12 +3,13 @@ import time
 import tracemalloc
 from fractions import Fraction
 from operator import ne
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friezes import FieldSpec
+from friezes import FieldSpec, partitions
 from friezes.errors import BudgetExceeded
 from friezes.formulas import count_configurations
 from friezes.partitions import (
@@ -170,6 +171,33 @@ def test_budget_refuses_large_n_from_the_first_terms():
         cyclic_partition_counts(1000)
     assert time.perf_counter() - start < 0.1
     assert len(str(info.value)) < 200
+
+
+def test_huge_n_is_refused_without_building_2_to_the_n():
+    # 2^(10^8) alone would trace 12.5 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="partition"):
+            cyclic_partition_counts(10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_budget_refuses_exactly_when_the_closed_form_sum_exceeds_it():
+    # A(3, n) is charged as 2^(n-3) only when that is above the budget
+    # already; the walk is stubbed out, so an accepted n = 40 returns at once
+    for n in range(2, 41):
+        total = sum(a_kn_closed_form(k, n) for k in range(2, n + 1))
+        for budget in (0, 1, 2 ** max(0, n - 5), total - 1, total, total + 1):
+            with mock.patch.object(partitions, "_rgs_chunks", return_value=()):
+                try:
+                    cyclic_partition_counts(n, budget)
+                    refused = False
+                except BudgetExceeded:
+                    refused = True
+            assert refused == (total > budget), (n, budget)
 
 
 def test_falling_factorial_basis_elements():

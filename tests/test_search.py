@@ -1,6 +1,7 @@
 import itertools
 import json
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -104,6 +105,19 @@ def test_strategies_agree_without_op_tables():
     assert naive.tuples == mitm.tuples
     assert naive.orbits == mitm.orbits
     assert naive.total_count == count_friezes(257, False, 1)
+
+
+def test_search_builds_op_tables_once_above_the_table_limit():
+    spec = FieldSpec(257)
+    assert spec._mul is None
+    first = enumerate_friezes(spec, 1)
+    assert all(t is not None for t in (spec._add, spec._sub, spec._mul, spec._neg, spec._inv))
+    with mock.patch.object(
+        FieldSpec, "_build_tables", autospec=True, side_effect=FieldSpec._build_tables
+    ) as build:
+        again = enumerate_friezes(spec, 1, "naive")
+    assert build.call_count == 0
+    assert again.orbits == first.orbits
 
 
 def test_tuples_are_sorted_and_unique():
@@ -244,8 +258,9 @@ def test_prefix_products_without_op_tables(p, k):
 
 
 def test_mitm_chunk_on_an_untabled_extension():
-    # GF(17^2) has no op tables, so the chunk takes its code-op branch; the
-    # naive chunk, which shares no completion step with it, is the reference
+    # GF(17^2) has no op tables at construction, so the table builds them on
+    # first use; the naive chunk, which shares no completion step with the
+    # mitm chunk, is the reference
     spec = FieldSpec(17, 2)
     assert spec._mul is None
     table = _mitm_table(spec, 1)
