@@ -8,11 +8,12 @@ doubles as the serialization format.  Points of P^1 are indexed 0..q: index
 i < q is (i : 1) and q is (1 : 0).  FieldSpec.point_vector and point_index
 are the one place that convention is written; ProjPoint, Mat2.act and the
 PGL2 point permutations read them.  Fields with at most TABLE_LIMIT
-elements build full operation tables at construction, larger ones on first
-use by the search or the signed C_n walk; until then their code ops reduce
-polynomials on the fly.  The tables of GF(p^k) are built from the
-powers of a primitive element, not from q^2 polynomial products; codes and
-table values are those of the raw operations.
+elements build full operation tables at construction, and fields with at
+most LAZY_TABLE_LIMIT on first use by the search or the signed C_n walk;
+until then, and always in larger fields, their code ops reduce polynomials
+on the fly.  The tables of GF(p^k) are built from the powers of a primitive
+element, not from q^2 polynomial products; codes and table values are those
+of the raw operations.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ from .errors import (
 )
 
 TABLE_LIMIT = 256
+# The largest field whose q x q op tables are built on first use: their
+# 3 q^2 entries take at most 34 MiB (GF(727); 25 MiB for GF(3^6)) and would
+# take about 1.9 GB at GF(4999), the largest prime a width-1 search fits in
+# the default budget.
+LAZY_TABLE_LIMIT = 729
 
 
 def _is_prime(n: int) -> bool:
@@ -88,6 +94,22 @@ def _default_modulus(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible polynomial of degree {k} over F_{p}")
 
 
+class _RawRow:
+    """Reads like row a of a q x q op table, row[b] = op(a, b), but computes
+    every read (see FieldSpec._op_tables)."""
+
+    __slots__ = ("op", "a", "q")
+
+    def __init__(self, op, a: int, q: int):
+        self.op, self.a, self.q = op, a, q
+
+    def __getitem__(self, b: int) -> int:
+        return self.op(self.a, b)
+
+    def __iter__(self):
+        return map(self.op, itertools.repeat(self.a, self.q), range(self.q))
+
+
 class FieldSpec:
     """The finite field GF(p^k) with a fixed element order and op tables.
 
@@ -112,6 +134,7 @@ class FieldSpec:
         "_mul",
         "_neg",
         "_inv",
+        "_tables",
         "_pgl2",
         "_p1_perms",
     )
@@ -147,10 +170,11 @@ class FieldSpec:
 
         self._digit_cache = None
         self._add = self._sub = self._mul = self._neg = self._inv = None
+        self._tables = None
         self._pgl2 = None
         self._p1_perms = None
         if self.q <= TABLE_LIMIT:
-            self._build_tables()
+            self._op_tables()
 
     # -- identity ------------------------------------------------------
 
@@ -209,15 +233,24 @@ class FieldSpec:
                     prod[i + j] = (prod[i + j] + x * y) % self.p
         return self._fold(_poly_rem(prod, self.modulus, self.p))
 
+    def _exp(self) -> list[int]:
+        """exp[i] = g^i for 0 <= i < q - 1, g the smallest code of order
+        q - 1, from q - 1 raw products once g is found."""
+        for g in range(1, self.q):
+            exp, x = [1], g
+            while x != 1:
+                exp.append(x)
+                x = self._mul_raw(x, g)
+            if len(exp) == self.q - 1:
+                return exp
+
     def _build_tables(self):
         """Op tables with no polynomial multiply per pair, equal to the raw ops.
 
         In GF(p^k), add[a][b] = add_p[a0][b0] + p add[a'][b'] with code
-        a = a0 + p a', from the table of one degree less.  The powers of the
-        smallest code g >= 2 of order q - 1 give exp, stored twice over so
-        that a b = exp[log a + log b] needs no reduction.  The tables are
-        built in locals and published with _inv last, so a thread that sees
-        _inv set sees all five.
+        a = a0 + p a', from the table of one degree less.  exp, stored twice
+        over, gives a b = exp[log a + log b] with no reduction.  The tables
+        are built in locals and published together.
         """
         q, p = self.q, self.p
         add = [[(a + b) % p for b in range(p)] for a in range(p)]
@@ -230,13 +263,7 @@ class FieldSpec:
             for _ in range(self.k - 1):
                 scaled = [[p * y for y in row] for row in add]
                 add = [[x + y for y in high for x in low] for high in scaled for low in add_p]
-            for g in range(2, q):
-                exp, x = [1], g
-                while x != 1:
-                    exp.append(x)
-                    x = self._mul_raw(x, g)
-                if len(exp) == q - 1:
-                    break
+            exp = self._exp()
             log = {x: i for i, x in enumerate(exp)}
             logs = [log[a] for a in range(1, q)]
             exp += exp
@@ -246,14 +273,35 @@ class FieldSpec:
         sub = [[row[b] for b in neg] for row in add]
         self._add, self._sub, self._mul, self._neg, self._inv = add, sub, mul, neg, inv
 
-    def _op_tables(self) -> tuple[list, list, list, list, list]:
-        """(add, sub, mul, neg, inv) with add[a][b] = a + b and so on, and
-        inv[0] = None: built on the first call when q > TABLE_LIMIT and kept.
-        Every caller already does Omega(q^2) work under its budget, so the
-        3 q^2 entries (about 1.6 MiB for GF(257)) change no budget."""
-        if self._inv is None:
-            self._build_tables()
-        return self._add, self._sub, self._mul, self._neg, self._inv
+    def _op_tables(self) -> tuple:
+        """(add, sub, mul, neg, inv), read as add[a][b] = a + b and so on,
+        with inv[0] = None: built on the first call and kept.  Up to
+        LAZY_TABLE_LIMIT these are the code ops' q x q tables; callers above
+        TABLE_LIMIT already do Omega(q^2) work under their budget.  Above it,
+        add, sub and mul are q _RawRows each, computing every read by the raw
+        ops or, for mul, from exp and log: O(q) memory in all."""
+        t = self._tables
+        if t is None:
+            q = self.q
+            if q <= LAZY_TABLE_LIMIT:
+                self._build_tables()
+                t = self._add, self._sub, self._mul, self._neg, self._inv
+            else:
+                if self.k > 1:
+                    self._digit_cache = [self._digits(c) for c in range(q)]
+                exp, log, inv = self._exp(), [None] * q, [None] * q
+                for i, x in enumerate(exp):
+                    log[x], inv[x] = i, exp[-i]
+                exp += exp
+
+                def mul_log(a: int, b: int) -> int:
+                    return exp[log[a] + log[b]] if a and b else 0
+
+                ops = self._add_raw, self.sub_code, mul_log
+                add, sub, mul = ([_RawRow(op, a, q) for a in range(q)] for op in ops)
+                t = add, sub, mul, [self._neg_raw(c) for c in range(q)], inv
+            self._tables = t
+        return t
 
     # -- public code ops -----------------------------------------------
 
@@ -275,8 +323,12 @@ class FieldSpec:
 
     def line_codes(self, a: int, b: int) -> list[int]:
         """The codes of a x - b for every x, in code order: one row of the
-        SL2 step, read from the op tables (built on first use)."""
+        SL2 step, read from the op tables, or stepped as a progression mod p
+        in a prime field that has none (above LAZY_TABLE_LIMIT)."""
         add, _, mul, neg, _ = self._op_tables()
+        if self._mul is None and self.k == 1:
+            p = self.p
+            return [y % p for y in range(-b, a * p - b, a)] if a else [neg[b]] * p
         shift = add[neg[b]]
         return [shift[ax] for ax in mul[a]]
 
@@ -645,7 +697,7 @@ def parse_field_descriptor(text: str) -> FieldSpec:
     The optional modulus suffix lists coefficients constant term first.
     Results are shared per process, at most 32 of them, each with its op
     tables once built: 3 q^2 entries, about 1.6 MiB for GF(256) or GF(257)
-    and 10 MiB for GF(2^9).  A bad descriptor raises on every call.
+    and at most 34 MiB up to LAZY_TABLE_LIMIT, and O(q) above it.  A bad descriptor raises on every call.
     """
     text = text.strip()
     body, _, mod_part = text.partition(":")

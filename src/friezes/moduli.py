@@ -131,9 +131,12 @@ def _det_table(spec: FieldSpec) -> list[list[int]]:
 @lru_cache(maxsize=32)
 def _ratio_tables(spec: FieldSpec) -> tuple[list[list[int]], list[list[int]]]:
     """The signed walk's edge factors: _det_table and its entrywise inverse,
-    built once per spec (at most 32 kept, like gf.parse_field_descriptor).
-    The inverse reads the spec's inv table per code; det 0 lies only on the
-    diagonal, which no walk reads, and there it is inv[0] = None."""
+    built once per spec (at most 32 kept, like gf.parse_field_descriptor)
+    when the spec keeps q x q op tables; otherwise (above
+    gf.LAZY_TABLE_LIMIT) _walk calls __wrapped__, so their 2 (q+1)^2
+    entries last one walk.  The inverse reads the spec's inv table per
+    code; det 0 lies only on the diagonal, which no walk reads, and there
+    it is inv[0] = None."""
     inv = spec._op_tables()[4]
     dets = _det_table(spec)
     return dets, [[inv[d] for d in row] for row in dets]
@@ -208,8 +211,8 @@ def _walk(
     the s + 1 edges they close, from the inner-edge ratio each tail path
     carries, so a prefix reads the tails of group u: one lookup, no
     per-tuple product.  Products are read from mul, the spec's op table
-    mul[a][b] = a * b, built on first use above gf.TABLE_LIMIT; the budget
-    already charges (q + 1)^n >= q^2.  The unsigned walk needs no field
+    mul[a][b] = a * b (see FieldSpec._op_tables); the budget already
+    charges (q + 1)^n >= q^2.  The unsigned walk needs no field
     arithmetic: it reads every determinant as 1, with the table of
     1 * 1 = 1, so every ratio is 1 and one group holds every tail.
     """
@@ -225,7 +228,9 @@ def _walk(
         ones = [[1] * len(points)] * len(points)
         mul, target, ratio = [[1, 1]] * 2, 1, (ones, ones)  # 1 * 1 = 1
     else:
-        mul, ratio = spec._op_tables()[2], _ratio_tables(spec)
+        mul = spec._op_tables()[2]
+        kept = isinstance(mul[0], list)  # q x q tables, not computed rows
+        ratio = (_ratio_tables if kept else _ratio_tables.__wrapped__)(spec)
         target = 1 if sign_filter == "plus" else spec.neg_code(1)
     inverse = ratio[::-1]  # u takes e_i^-1 for even i and e_i for odd i
     s = (2 if n >= 5 else 1) if cross_section else max(1, min(n // 2, n - 3))

@@ -23,9 +23,10 @@ Both walk prefixes with _prefix_products, the search's copy of the SL2 step
 (frieze.row_products is the single-row one).  It steps all q children of a
 prefix at once: their new first row (x p00 - p10, x p01 - p11) is two rows of
 FieldSpec.line_codes.  The completions read rows of the op tables too
-(mul[p01], add[1], ...).  Every field has them: a field above gf.TABLE_LIMIT
-builds them on its first search, whose budget charges at least 4 q^2.  Rows
-stay code tuples; only orbit representatives become FirstRows.
+(mul[p01], add[1], ...), from FieldSpec._op_tables: lists up to
+gf.LAZY_TABLE_LIMIT, built on a field's first search above gf.TABLE_LIMIT
+(whose budget charges at least 4 q^2), and rows computed per read above it.
+Rows stay code tuples; only orbit representatives become FirstRows.
 
 Both search only min-first rows, whose first code is their smallest: the
 smallest member of a dihedral orbit is one, so they are enough for the

@@ -7,12 +7,20 @@ FieldElement lift that checks the code-native configuration_to_frieze."""
 from collections import Counter, defaultdict
 from functools import cache
 
-from friezes import FieldSpec, FirstRow, FirstRowClass, matrix_criterion
+from friezes import FieldSpec, FirstRow, FirstRowClass, gf, matrix_criterion
 from friezes.errors import NotLiftable
 from friezes.moduli import configuration_index_tuples
 from friezes.search import _prefix_products
 
 PRIME_POWERS_LE_9 = (2, 3, 4, 5, 7, 8, 9)
+
+
+def without_op_tables(monkeypatch, limit: int = 1) -> None:
+    """Make every FieldSpec built afterwards with q > limit do without q x q
+    op tables, as the fields above gf.LAZY_TABLE_LIMIT do: its code ops run
+    raw, and FieldSpec._op_tables hands out the O(q) raw rows."""
+    monkeypatch.setattr(gf, "TABLE_LIMIT", min(limit, gf.TABLE_LIMIT))
+    monkeypatch.setattr(gf, "LAZY_TABLE_LIMIT", limit)
 
 _SPEC_ARGS = {
     2: (2, 1),

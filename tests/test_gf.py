@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +18,16 @@ from friezes import (
     pgl2_elements,
 )
 from friezes.errors import DescriptorError
+from friezes import gf
 from friezes.gf import pgl2_point_permutations
 
-from helpers import PRIME_POWERS_LE_9, all_small_fields, assert_field_axioms, field_by_q
+from helpers import (
+    PRIME_POWERS_LE_9,
+    all_small_fields,
+    assert_field_axioms,
+    field_by_q,
+    without_op_tables,
+)
 
 
 def test_prime_field_elements():
@@ -289,14 +297,17 @@ def _prime_power(q):
     "q, samples",
     [(q, None) for q in range(2, 82) if _prime_power(q)]
     + [(128, 2000), (169, 2000), (243, 2000), (256, 2000)]
-    + [(257, 2000), (289, 2000), (512, 2000), (729, 2000)],
+    + [(257, 2000), (289, 2000), (512, 2000), (729, 2000)]
+    + [(961, 2000), (1009, 2000), (1024, 2000)],
 )
 def test_op_tables_match_raw_arithmetic(q, samples):
     # the tables come from a primitive element and digit blocks, at
-    # construction up to gf.TABLE_LIMIT and on first use above it; the raw
-    # polynomial operations are the reference
+    # construction up to gf.TABLE_LIMIT and on first use up to
+    # gf.LAZY_TABLE_LIMIT; above it add, sub and mul are raw rows and mul
+    # reads exp and log.  The raw polynomial operations are the reference
     spec = FieldSpec(*_prime_power(q))
     add, sub, mul, neg, inv = spec._op_tables()
+    assert (spec._mul is None) == (q > gf.LAZY_TABLE_LIMIT)
     codes = range(q)
     if samples is None:
         pairs = itertools.product(codes, codes)
@@ -307,16 +318,58 @@ def test_op_tables_match_raw_arithmetic(q, samples):
         assert add[a][b] == spec._add_raw(a, b)
         assert sub[a][b] == spec._add_raw(a, spec._neg_raw(b))
         assert mul[a][b] == spec._mul_raw(a, b)
+    for a in (0, 1, q - 1):
+        assert list(mul[a]) == [spec._mul_raw(a, b) for b in codes]
     assert neg == [spec._neg_raw(a) for a in codes]
     assert inv[0] is None
     assert all(spec._mul_raw(a, inv[a]) == 1 for a in range(1, q))
 
 
-@pytest.mark.parametrize("p, k", [(2, 2), (3, 4), (2, 8), (257, 1), (17, 2)])
+@pytest.mark.parametrize("q", PRIME_POWERS_LE_9 + (16, 25, 27))
+def test_raw_rows_match_raw_arithmetic(q, monkeypatch):
+    # the O(q) rows of a field above gf.LAZY_TABLE_LIMIT, on small fields:
+    # every entry, read one by one and row by row
+    without_op_tables(monkeypatch)
+    spec = FieldSpec(*_prime_power(q))
+    assert spec._mul is None
+    add, sub, mul, neg, inv = spec._op_tables()
+    assert spec._mul is None
+    codes = range(q)
+    for a in codes:
+        raw = (
+            [spec._add_raw(a, b) for b in codes],
+            [spec._add_raw(a, spec._neg_raw(b)) for b in codes],
+            [spec._mul_raw(a, b) for b in codes],
+        )
+        for table, expected in zip((add, sub, mul), raw):
+            assert [table[a][b] for b in codes] == list(table[a]) == expected
+    assert neg == [spec._neg_raw(a) for a in codes]
+    assert inv[0] is None
+    assert all(spec._mul_raw(a, inv[a]) == 1 for a in range(1, q))
+
+
+def test_op_tables_above_the_lazy_limit_take_o_q_memory():
+    # 3 q^2 table entries for GF(1009) would trace about 70 MiB
+    spec = FieldSpec(1009)
+    tracemalloc.start()
+    try:
+        spec._op_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec._mul is None
+    assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize(
+    "p, k", [(2, 2), (3, 4), (2, 8), (257, 1), (17, 2), (1009, 1), (31, 2)]
+)
 def test_line_codes_match_code_ops(p, k):
     # tabled at construction (GF(4), GF(81), GF(256)) or on first use
     # (GF(257), GF(17^2)): the row a x - b is read from the op tables, so
-    # the raw operations, which read no table, are the reference
+    # the raw operations, which read no table, are the reference.  Above
+    # gf.LAZY_TABLE_LIMIT, GF(1009) steps a progression mod p and GF(31^2)
+    # reads raw rows
     spec = FieldSpec(p, k)
     q = spec.q
     rng = random.Random(q)

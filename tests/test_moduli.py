@@ -49,6 +49,7 @@ from helpers import (
     element_configuration_to_frieze,
     field_by_q,
     keyed_orbit_count,
+    without_op_tables,
 )
 
 F2 = FieldSpec(2)
@@ -220,7 +221,8 @@ def test_budget_guard():
 
 def test_signed_walk_inverts_each_code_once():
     # GF(257) has no op tables at construction, and there each inv_code call
-    # is a pow_code; the walk reads the inv table it builds on first use
+    # is a pow_code; the walk calls none, as it reads the inv table that
+    # FieldSpec._op_tables builds on first use, one inverse per code
     spec = FieldSpec(257)
     counts = count_signed_configurations(spec.q, spec.char_is_2, 2)
     for sign, expected in (("plus", counts.plus), ("minus", counts.minus)):
@@ -228,8 +230,26 @@ def test_signed_walk_inverts_each_code_once():
             FieldSpec, "inv_code", autospec=True, side_effect=FieldSpec.inv_code
         ) as inv:
             got = sum(1 for _ in configuration_index_tuples(spec, 2, sign))
-        assert inv.call_count <= spec.q
+        assert inv.call_count == 0
         assert got == expected
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_LE_9)
+def test_signed_walk_without_op_tables_matches_the_tables(q, monkeypatch):
+    # as above gf.LAZY_TABLE_LIMIT: mul is raw rows, and the det tables are
+    # built per walk, not kept per spec
+    tabled = field_by_q(q)
+    walks = [(n, sign) for n in (2, 4) for sign in ("plus", "minus")]
+    expected = [list(configuration_index_tuples(tabled, n, sign)) for n, sign in walks]
+    orbits = pgl2_orbit_count(tabled, 4, "plus").count
+    without_op_tables(monkeypatch)
+    moduli._ratio_tables.cache_clear()
+    spec = FieldSpec(tabled.p, tabled.k)
+    got = [list(configuration_index_tuples(spec, n, sign)) for n, sign in walks]
+    assert got == expected
+    assert pgl2_orbit_count(spec, 4, "plus").count == orbits
+    assert moduli._ratio_tables.cache_info().currsize == 0
+    assert spec._mul is None
 
 
 def test_signed_walks_build_the_det_table_once_per_spec():

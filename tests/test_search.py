@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -30,7 +31,7 @@ from friezes.search import (
     _prefix_products,
 )
 
-from helpers import field_by_q, full_rows
+from helpers import PRIME_POWERS_LE_9, field_by_q, full_rows, without_op_tables
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -98,13 +99,46 @@ def test_strategies_match_brute_force(q):
     assert zero_before_last
 
 
-def test_strategies_agree_without_op_tables():
+def test_strategies_agree_without_op_tables(monkeypatch):
+    # GF(257) as if above gf.LAZY_TABLE_LIMIT: both searches read raw rows
+    without_op_tables(monkeypatch, 256)
     spec = FieldSpec(257)
     naive = enumerate_friezes(spec, 1, "naive")
     mitm = enumerate_friezes(spec, 1, "mitm")
+    assert spec._mul is None
     assert naive.tuples == mitm.tuples
     assert naive.orbits == mitm.orbits
     assert naive.total_count == count_friezes(257, False, 1)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_LE_9)
+def test_search_without_op_tables_matches_the_tables(q, monkeypatch):
+    tabled = field_by_q(q)
+    expected = {w: enumerate_friezes(tabled, w) for w in (1, 2, 3)}
+    without_op_tables(monkeypatch)
+    spec = FieldSpec(tabled.p, tabled.k)
+    for w, result in expected.items():
+        for strategy in ("naive", "mitm"):
+            got = enumerate_friezes(spec, w, strategy)
+            assert got.tuples == result.tuples
+            assert got.total_count == result.total_count
+    assert spec._mul is None
+
+
+def test_search_above_the_lazy_limit_takes_o_q_memory():
+    # GF(1009) lies above gf.LAZY_TABLE_LIMIT: 3 q^2 op-table entries would
+    # trace about 70 MiB, and the width-1 search itself needs O(q)
+    spec = FieldSpec(1009)
+    for strategy in ("mitm", "naive"):
+        tracemalloc.start()
+        try:
+            result = enumerate_friezes(spec, 1, strategy, SearchConfig(budget=10**10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.total_count == count_friezes(1009, False, 1)
+        assert peak < 4 * 2**20, (strategy, peak)
+    assert spec._mul is None
 
 
 def test_search_builds_op_tables_once_above_the_table_limit():
@@ -246,7 +280,9 @@ def test_prefix_products_match_row_products(q):
 
 
 @pytest.mark.parametrize("p, k", [(257, 1), (17, 2)])
-def test_prefix_products_without_op_tables(p, k):
+def test_prefix_products_without_op_tables(p, k, monkeypatch):
+    # as if above gf.LAZY_TABLE_LIMIT: a progression mod p, or raw rows
+    without_op_tables(monkeypatch, 256)
     spec = FieldSpec(p, k)
     firsts = (0, 5, spec.q - 1)
     expected = [
@@ -255,6 +291,7 @@ def test_prefix_products_without_op_tables(p, k):
         for b in range(spec.q)
     ]
     assert _prefix_products(spec, 2, firsts) == expected
+    assert spec._mul is None
 
 
 def test_mitm_chunk_on_an_untabled_extension():
