@@ -28,7 +28,9 @@ against the classical width-4 integer example before the golden tests were
 frozen.
 
 FirstRow and Frieze store element codes 0..q-1; FieldElements are built only
-where the API returns them (FirstRow.elements, Frieze.row, Frieze.entry).  The
+where the API returns them (FirstRow.elements, Frieze.row, Frieze.entry).
+FirstRow(spec, codes) and FirstRow.from_codes check their codes;
+FirstRow._trusted skips the checks, for the search's orbit representatives.  The
 SL2 step P -> M(a) P of one row is row_products, by code ops;
 search._prefix_products is the search's copy, which steps all q children of a
 prefix at once from two FieldSpec.line_codes rows.
@@ -60,6 +62,14 @@ class FirstRow:
     def from_codes(cls, spec: FieldSpec, codes: Iterable[int]) -> "FirstRow":
         """Row from input values, each read by spec.element."""
         return cls(spec, tuple(spec.element(c).code for c in codes))
+
+    @classmethod
+    def _trusted(cls, spec: FieldSpec, codes: tuple[int, ...]) -> "FirstRow":
+        """Row from codes the search guarantees, built without the checks."""
+        row = object.__new__(cls)
+        object.__setattr__(row, "spec", spec)
+        object.__setattr__(row, "codes", codes)
+        return row
 
     @property
     def n(self) -> int:

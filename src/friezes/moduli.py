@@ -74,6 +74,14 @@ class Configuration:
     def from_indices(cls, spec: FieldSpec, indices: Sequence[int]) -> "Configuration":
         return cls(spec, tuple(indices))
 
+    @classmethod
+    def _trusted(cls, spec: FieldSpec, indices: tuple[int, ...]) -> "Configuration":
+        """Configuration from a tuple of C_n that _walk made, without the checks."""
+        config = object.__new__(cls)
+        object.__setattr__(config, "spec", spec)
+        object.__setattr__(config, "indices", indices)
+        return config
+
     @property
     def n(self) -> int:
         return len(self.indices)
@@ -298,7 +306,7 @@ def enumerate_configurations(
 ) -> Iterator[Configuration]:
     """Stream C_n (or its plus/minus subspace for even n)."""
     for tup in configuration_index_tuples(spec, n, sign_filter, budget):
-        yield Configuration.from_indices(spec, tup)
+        yield Configuration._trusted(spec, tup)
 
 
 def sign_class(config: Configuration) -> SignClass:
@@ -360,7 +368,7 @@ def pgl2_orbit_count(
         n,
         sign_filter,
         len(keys),
-        tuple(Configuration.from_indices(spec, key) for key in keys),
+        tuple(Configuration._trusted(spec, key) for key in keys),
         tuple(sizes),
     )
 

@@ -26,7 +26,8 @@ FieldSpec.line_codes.  The completions read rows of the op tables too
 (mul[p01], add[1], ...), from FieldSpec._op_tables: lists up to
 gf.LAZY_TABLE_LIMIT, built on a field's first search above gf.TABLE_LIMIT
 (whose budget charges at least 4 q^2), and rows computed per read above it.
-Rows stay code tuples; only orbit representatives become FirstRows.
+Rows stay code tuples; only orbit representatives become FirstRows, built
+by FirstRow._trusted without re-checking codes the search made in range.
 
 Both search only min-first rows, whose first code is their smallest: the
 smallest member of a dihedral orbit is one, so they are enough for the
@@ -170,20 +171,17 @@ def _mitm_chunk(spec: FieldSpec, nl: int, first: int, table) -> list[tuple[int, 
 
 def _min_first_images(t: tuple[int, ...]) -> tuple[set[tuple[int, ...]], int]:
     """The images of the row t under rotation and reversal that start with
-    m = t[0], and the size of t's whole dihedral orbit.  The rotations that
-    start with m are the slices at the positions i with t[i] = m, each
-    distinct one met n / p times, p the number of distinct rotations.  The
-    reflected images are those of the reversal; they make the orbit 2p,
-    unless the two sets meet, and then they are one set."""
+    m = t[0], and the size of t's whole dihedral orbit.  They are the
+    rotations to, and the reversed slices ending at, the positions i with
+    t[i] = m: 2 len(starts) of the 2n elements of the dihedral group, each
+    image met 2n / size times, so size = n len(images) / len(starts)."""
     n, m = len(t), t[0]
     twice = t + t
     rev = twice[::-1]
     starts = [i for i, x in enumerate(t) if x == m]
-    rotations = {twice[i : i + n] for i in starts}
-    reflections = {rev[n - 1 - i : 2 * n - 1 - i] for i in starts}
-    p = len(rotations) * n // len(starts)
-    size = 2 * p if rotations.isdisjoint(reflections) else p
-    return rotations | reflections, size
+    images = {twice[i : i + n] for i in starts}
+    images.update(rev[n - 1 - i : 2 * n - 1 - i] for i in starts)
+    return images, n * len(images) // len(starts)
 
 
 def enumerate_friezes(
@@ -231,7 +229,7 @@ def enumerate_friezes(
         if not images <= unmarked:
             raise AssertionError("solutions not dihedral-closed")
         unmarked -= images
-        orbits.append((FirstRow(spec, t), size))
+        orbits.append((FirstRow._trusted(spec, t), size))
         total += size
     return EnumerationResult(spec, width, total, orbits)
 
@@ -269,12 +267,14 @@ def catalog_orbits(result: EnumerationResult, fmt: str = "text") -> str:
         return json.dumps(enumeration_to_json_dict(result))
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
+    spec = result.spec
+    strs = [spec.element_str(c) for c in range(spec.q)]
     lines = [
-        f"field {result.spec.descriptor}  width {result.width}  "
+        f"field {spec.descriptor}  width {result.width}  "
         f"count {result.total_count}  orbits {len(result.orbits)}"
     ]
     for rep, size in result.orbits:
-        lines.append(f"{rep}  size {size}")
+        lines.append(f"({','.join(map(strs.__getitem__, rep.codes))})  size {size}")
     return "\n".join(lines)
 
 

@@ -1,8 +1,9 @@
 """Shared fixtures-in-spirit for the test suite: the small fields everything
 runs over, the exhaustive field-axiom check reused by the acceptance suite,
 the keyed PGL2 orbit count that checks the library's cross-section walk, the
-full row search that checks the min-first frieze catalog, and the
-FieldElement lift that checks the code-native configuration_to_frieze."""
+full row search that checks the min-first frieze catalog, the per-code text
+catalog that checks its rendering, and the FieldElement lift that checks the
+code-native configuration_to_frieze."""
 
 from collections import Counter, defaultdict
 from functools import cache
@@ -155,6 +156,18 @@ def full_rows(spec: FieldSpec, width: int, strategy: str) -> list[tuple[int, ...
         for mid, r10, r11 in table.get((l10, neg(l00)), ()):
             rows.append(prefix + mid + (neg(add(mul(r10, l01), mul(r11, l11))),))
     return rows
+
+
+def per_code_catalog_text(result) -> str:
+    """The text catalog rendered one representative at a time by
+    FirstRow.__str__, one element_str call per code; search.catalog_orbits
+    renders from one list of element strings per call instead."""
+    lines = [
+        f"field {result.spec.descriptor}  width {result.width}  "
+        f"count {result.total_count}  orbits {len(result.orbits)}"
+    ]
+    lines += [f"{rep}  size {size}" for rep, size in result.orbits]
+    return "\n".join(lines)
 
 
 def element_configuration_to_frieze(spec: FieldSpec, tup: tuple[int, ...]):

@@ -678,6 +678,16 @@ def test_orbit_walk_matches_the_keyed_count():
         assert summary.count == len(reps)
 
 
+def test_walked_configurations_equal_checked_ones():
+    # pgl2_orbit_count and enumerate_configurations build their
+    # Configurations without the checks
+    for q, n, sign in ORACLE_CASES:
+        spec = field_by_q(q)
+        walked = pgl2_orbit_count(spec, n, sign).representatives
+        for c in itertools.chain(walked, enumerate_configurations(spec, n, sign)):
+            assert Configuration.from_indices(spec, c.indices) == c, (q, n, sign)
+
+
 def test_orbit_representatives_are_their_own_keys():
     # the walked cross-section is made of fixed points of the key that
     # map --to frieze compares, in strictly increasing order

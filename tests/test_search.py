@@ -31,7 +31,13 @@ from friezes.search import (
     _prefix_products,
 )
 
-from helpers import PRIME_POWERS_LE_9, field_by_q, full_rows, without_op_tables
+from helpers import (
+    PRIME_POWERS_LE_9,
+    field_by_q,
+    full_rows,
+    per_code_catalog_text,
+    without_op_tables,
+)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -383,6 +389,28 @@ def test_min_first_catalog_matches_the_full_rows(descriptor, widths):
                 per_tuple.items()
             )
             assert result.total_count == len(rows)
+            # the representatives are built without the FirstRow checks
+            assert all(FirstRow(spec, rep.codes) == rep for rep, _ in result.orbits)
+
+
+@pytest.mark.parametrize(
+    "descriptor, widths",
+    [
+        ("2^2", range(1, 5)),
+        ("3^2", range(1, 4)),
+        ("2^3", range(1, 4)),
+        ("3^3", range(1, 3)),
+        ("5^2", range(1, 3)),
+        ("3^2:2,2,1", range(1, 4)),
+        ("257", (1,)),
+    ],
+)
+def test_catalog_text_matches_the_per_code_rendering(descriptor, widths):
+    spec = parse_field_descriptor(descriptor)
+    assert (spec.k > 1) == any(spec.element_str(c) != str(c) for c in range(spec.q))
+    for w in widths:
+        result = enumerate_friezes(spec, w)
+        assert catalog_orbits(result) == per_code_catalog_text(result)
 
 
 @pytest.mark.parametrize("strategy, chunk", [("naive", "_naive_chunk"), ("mitm", "_mitm_chunk")])
