@@ -42,6 +42,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .errors import FriezeError
 from .gf import FieldElement, FieldSpec, Mat2, parse_field_descriptor
 
 
@@ -350,16 +351,22 @@ def frieze_to_json_dict(f: Frieze) -> dict:
 
 
 def parse_frieze_json(text: str) -> Frieze:
-    """Rebuild a frieze from its JSON document and verify the stored rows."""
-    doc = json.loads(text)
-    spec = parse_field_descriptor(doc["field"])
-    row = FirstRow.from_codes(spec, map(spec.checked_code, doc["first_row"]))
-    if type(doc["width"]) is not int or row.width != doc["width"]:
+    """Rebuild a frieze from its JSON document and verify the stored rows.
+    Every malformed document raises ValueError."""
+    try:
+        doc = json.loads(text)
+        spec = parse_field_descriptor(doc["field"])
+        row = FirstRow.from_codes(spec, map(spec.checked_code, doc["first_row"]))
+        stored = [list(map(spec.checked_code, r)) for r in doc["rows"]]
+        width = doc["width"]
+    except (KeyError, TypeError, AttributeError, FriezeError) as exc:
+        raise ValueError(f"malformed frieze document {text!r:.80}: {exc!r}") from exc
+    if type(width) is not int or row.width != width:
         raise ValueError("width inconsistent with first row length")
     built = frieze_from_first_row(row)
     if isinstance(built, NotAFrieze):
         raise ValueError("first row does not generate a frieze")
     rows = [list(built._rows[r]) for r in range(-1, built.width + 3)]
-    if rows != [list(map(spec.checked_code, r)) for r in doc["rows"]]:
+    if rows != stored:
         raise ValueError("stored rows disagree with the recursion")
     return built

@@ -7,13 +7,13 @@ and code 1 is one, so the code order is a stable element enumeration that
 doubles as the serialization format.  Points of P^1 are indexed 0..q: index
 i < q is (i : 1) and q is (1 : 0).  FieldSpec.point_vector and point_index
 are the one place that convention is written; ProjPoint, Mat2.act and the
-PGL2 point permutations read them.  Fields with at most TABLE_LIMIT
-elements build full operation tables at construction, and fields with at
-most LAZY_TABLE_LIMIT on first use by the search or the signed C_n walk;
-until then, and always in larger fields, their code ops reduce polynomials
-on the fly.  The tables of GF(p^k) are built from the powers of a primitive
-element, not from q^2 polynomial products; codes and table values are those
-of the raw operations.
+PGL2 point permutations read them.  FieldSpec._op_tables is the one
+builder of op tables, all from the powers of a primitive element, not from
+q^2 polynomial products: q x q lists at construction up to TABLE_LIMIT and
+on first use by the search or the signed C_n walk up to LAZY_TABLE_LIMIT,
+and O(q) rows computed per read above it.  The code ops read those tables
+at every size once they exist and reduce polynomials on the fly before;
+codes and table values are those of the raw operations.
 """
 
 from __future__ import annotations
@@ -134,7 +134,6 @@ class FieldSpec:
         "_mul",
         "_neg",
         "_inv",
-        "_tables",
         "_pgl2",
         "_p1_perms",
     )
@@ -170,7 +169,6 @@ class FieldSpec:
 
         self._digit_cache = None
         self._add = self._sub = self._mul = self._neg = self._inv = None
-        self._tables = None
         self._pgl2 = None
         self._p1_perms = None
         if self.q <= TABLE_LIMIT:
@@ -233,75 +231,58 @@ class FieldSpec:
                     prod[i + j] = (prod[i + j] + x * y) % self.p
         return self._fold(_poly_rem(prod, self.modulus, self.p))
 
-    def _exp(self) -> list[int]:
-        """exp[i] = g^i for 0 <= i < q - 1, g the smallest code of order
-        q - 1, from q - 1 raw products once g is found."""
-        for g in range(1, self.q):
-            exp, x = [1], g
-            while x != 1:
-                exp.append(x)
-                x = self._mul_raw(x, g)
-            if len(exp) == self.q - 1:
-                return exp
-
-    def _build_tables(self):
-        """Op tables with no polynomial multiply per pair, equal to the raw ops.
-
-        In GF(p^k), add[a][b] = add_p[a0][b0] + p add[a'][b'] with code
-        a = a0 + p a', from the table of one degree less.  exp, stored twice
-        over, gives a b = exp[log a + log b] with no reduction.  The tables
-        are built in locals and published together.
-        """
-        q, p = self.q, self.p
-        add = [[(a + b) % p for b in range(p)] for a in range(p)]
-        if self.k == 1:
-            mul = [[a * b % p for b in range(p)] for a in range(p)]
-            inv = [None] + [pow(a, p - 2, p) for a in range(1, p)]
-        else:
-            self._digit_cache = [self._digits(c) for c in range(q)]
-            add_p = add
-            for _ in range(self.k - 1):
-                scaled = [[p * y for y in row] for row in add]
-                add = [[x + y for y in high for x in low] for high in scaled for low in add_p]
-            exp = self._exp()
-            log = {x: i for i, x in enumerate(exp)}
-            logs = [log[a] for a in range(1, q)]
-            exp += exp
-            mul = [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
-            inv = [None] + [exp[q - 1 - i] for i in logs]
-        neg = [row.index(0) for row in add]
-        sub = [[row[b] for b in neg] for row in add]
-        self._add, self._sub, self._mul, self._neg, self._inv = add, sub, mul, neg, inv
-
     def _op_tables(self) -> tuple:
         """(add, sub, mul, neg, inv), read as add[a][b] = a + b and so on,
-        with inv[0] = None: built on the first call and kept.  Up to
-        LAZY_TABLE_LIMIT these are the code ops' q x q tables; callers above
-        TABLE_LIMIT already do Omega(q^2) work under their budget.  Above it,
-        add, sub and mul are q _RawRows each, computing every read by the raw
-        ops or, for mul, from exp and log: O(q) memory in all."""
-        t = self._tables
-        if t is None:
-            q = self.q
+        with inv[0] = None: built on the first call into the slots that the
+        code ops read, so from then on they read tables at every size.  One
+        pass finds exp[i] = g^i, g the smallest code of order q - 1, then
+        log and inv; exp, stored twice over, gives a b = exp[log a + log b]
+        with no reduction.  Up to LAZY_TABLE_LIMIT add, sub and mul are
+        q x q lists, add built digit level by digit level: add[a][b] =
+        add_p[a0][b0] + p add[a'][b'] with code a = a0 + p a'.  Callers above
+        TABLE_LIMIT already do Omega(q^2) work under their budget.  Above
+        LAZY_TABLE_LIMIT they are q _RawRows each, computing every read by
+        the raw ops or, for mul, from exp and log: O(q) memory in all.  _mul,
+        the slot tested here, is assigned last."""
+        if self._mul is None:
+            q, p = self.q, self.p
+            if self.k > 1:
+                self._digit_cache = [self._digits(c) for c in range(q)]
+            for g in range(1, q):
+                exp, x = [1], g
+                while x != 1:
+                    exp.append(x)
+                    x = self._mul_raw(x, g)
+                if len(exp) == q - 1:
+                    break
+            log, inv = [None] * q, [None] * q
+            for i, x in enumerate(exp):
+                log[x], inv[x] = i, exp[-i]
+            exp += exp
             if q <= LAZY_TABLE_LIMIT:
-                self._build_tables()
-                t = self._add, self._sub, self._mul, self._neg, self._inv
+                add = add_p = [[(a + b) % p for b in range(p)] for a in range(p)]
+                for _ in range(self.k - 1):
+                    scaled = [[p * y for y in row] for row in add]
+                    add = [[x + y for y in high for x in low] for high in scaled for low in add_p]
+                neg = [row.index(0) for row in add]
+                sub = [[row[b] for b in neg] for row in add]
+                logs = log[1:]
+                mul = [[0] * q] + [[0] + [exp[i + j] for j in logs] for i in logs]
             else:
-                if self.k > 1:
-                    self._digit_cache = [self._digits(c) for c in range(q)]
-                exp, log, inv = self._exp(), [None] * q, [None] * q
-                for i, x in enumerate(exp):
-                    log[x], inv[x] = i, exp[-i]
-                exp += exp
+                neg, add_raw = [self._neg_raw(c) for c in range(q)], self._add_raw
+
+                def sub_raw(a: int, b: int) -> int:
+                    return add_raw(a, neg[b])
 
                 def mul_log(a: int, b: int) -> int:
                     return exp[log[a] + log[b]] if a and b else 0
 
-                ops = self._add_raw, self.sub_code, mul_log
-                add, sub, mul = ([_RawRow(op, a, q) for a in range(q)] for op in ops)
-                t = add, sub, mul, [self._neg_raw(c) for c in range(q)], inv
-            self._tables = t
-        return t
+                add, sub, mul = (
+                    [_RawRow(op, a, q) for a in range(q)] for op in (add_raw, sub_raw, mul_log)
+                )
+            self._add, self._sub, self._neg, self._inv = add, sub, neg, inv
+            self._mul = mul
+        return self._add, self._sub, self._mul, self._neg, self._inv
 
     # -- public code ops -----------------------------------------------
 
@@ -324,13 +305,14 @@ class FieldSpec:
     def line_codes(self, a: int, b: int) -> list[int]:
         """The codes of a x - b for every x, in code order: one row of the
         SL2 step, read from the op tables, or stepped as a progression mod p
-        in a prime field that has none (above LAZY_TABLE_LIMIT)."""
-        add, _, mul, neg, _ = self._op_tables()
-        if self._mul is None and self.k == 1:
+        in a prime field above LAZY_TABLE_LIMIT."""
+        if self.k == 1 and self.q > LAZY_TABLE_LIMIT:
             p = self.p
-            return [y % p for y in range(-b, a * p - b, a)] if a else [neg[b]] * p
-        shift = add[neg[b]]
-        return [shift[ax] for ax in mul[a]]
+            return [y % p for y in range(-b, a * p - b, a)] if a else [-b % p] * p
+        if self._mul is None:
+            self._op_tables()
+        shift = self._add[self._neg[b]]
+        return [shift[ax] for ax in self._mul[a]]
 
     def inv_code(self, a: int) -> int:
         if a == 0:

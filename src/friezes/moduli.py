@@ -115,8 +115,14 @@ def parse_points(spec: FieldSpec, labels: Sequence[str]) -> Configuration:
         lab = lab.strip()
         if lab == "inf":
             indices.append(spec.q)
-        else:
-            indices.append(spec.checked_code(int(lab)))
+            continue
+        try:
+            code = int(lab)
+        except ValueError as exc:
+            raise ValueError(
+                f"bad point label {lab!r}: labels are element codes or inf"
+            ) from exc
+        indices.append(spec.checked_code(code))
     return Configuration.from_indices(spec, indices)
 
 
@@ -508,6 +514,8 @@ def configuration_to_frieze(config: Configuration) -> FirstRow | FirstRowClass:
     """
     spec = config.spec
     n = config.n
+    if n < 3:
+        raise ValueError(f"the frieze correspondence needs at least 3 points, got {n}")
     tup = config.indices
     mul, sub, neg = spec.mul_code, spec.sub_code, spec.neg_code
     lam, c = _lift_scalars(spec, tup)

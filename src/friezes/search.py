@@ -23,9 +23,10 @@ Both walk prefixes with _prefix_products, the search's copy of the SL2 step
 (frieze.row_products is the single-row one).  It steps all q children of a
 prefix at once: their new first row (x p00 - p10, x p01 - p11) is two rows of
 FieldSpec.line_codes.  The completions read rows of the op tables too
-(mul[p01], add[1], ...), from FieldSpec._op_tables: lists up to
-gf.LAZY_TABLE_LIMIT, built on a field's first search above gf.TABLE_LIMIT
-(whose budget charges at least 4 q^2), and rows computed per read above it.
+(mul[p01], add[1], ...), from FieldSpec._op_tables, the field's one table
+builder: lists up to gf.LAZY_TABLE_LIMIT, built on a field's first search
+above gf.TABLE_LIMIT (whose budget charges at least 4 q^2), and rows
+computed per read above it, which the field's code ops read from then on.
 Rows stay code tuples; only orbit representatives become FirstRows, built
 by FirstRow._trusted without re-checking codes the search made in range.
 

@@ -23,6 +23,13 @@ def without_op_tables(monkeypatch, limit: int = 1) -> None:
     monkeypatch.setattr(gf, "TABLE_LIMIT", min(limit, gf.TABLE_LIMIT))
     monkeypatch.setattr(gf, "LAZY_TABLE_LIMIT", limit)
 
+
+def holds_square_tables(spec: FieldSpec) -> bool:
+    """Whether the spec holds q x q op-table lists, not yet-unbuilt slots or
+    the O(q) rows that FieldSpec._op_tables builds above gf.LAZY_TABLE_LIMIT."""
+    return type(spec._mul) is list and type(spec._mul[0]) is list
+
+
 _SPEC_ARGS = {
     2: (2, 1),
     3: (3, 1),

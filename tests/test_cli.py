@@ -289,6 +289,20 @@ def test_map_minus_class_fails_cleanly(capsys):
     assert "plus class" in err
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ("0,,1", "bad point label ''"),
+        ("INF,0,1", "bad point label 'INF'"),
+        ("0,1", "needs at least 3 points"),
+    ],
+)
+def test_map_to_frieze_names_bad_points(capsys, points, message):
+    code, out, err = run(capsys, "map", "--field", "3", "--to", "frieze", "--points", points)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 def test_print_triangle(capsys):
     code, out, _ = run(capsys, "print", "--field", "2", "--row", "1,1,1,0,0")
     assert code == 0

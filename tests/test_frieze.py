@@ -238,6 +238,15 @@ def test_parse_json_rejects_codes_outside_the_field():
             parse_frieze_json(json.dumps(doc))
 
 
+def test_parse_json_rejects_malformed_documents():
+    good = frieze_to_json_dict(frieze_from_first_row(row(F2, (1, 1, 1, 0, 0))))
+    docs = ["{}", '{"field": "3"}', "[]", '{"field": 3}', '{"field": "4"}', "5"]
+    docs += [json.dumps({**good, key: 5}) for key in ("rows", "first_row")]
+    for text in docs:
+        with pytest.raises(ValueError, match="malformed frieze document"):
+            parse_frieze_json(text)
+
+
 def test_first_row_needs_three_entries():
     with pytest.raises(ValueError):
         FirstRow.from_codes(F2, (1, 1))

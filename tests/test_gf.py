@@ -1,6 +1,8 @@
+import functools
 import itertools
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from friezes import (
     parse_field_descriptor,
     pgl2_elements,
 )
+from friezes.cli import main
 from friezes.errors import DescriptorError
 from friezes import gf
 from friezes.gf import pgl2_point_permutations
@@ -26,6 +29,7 @@ from helpers import (
     all_small_fields,
     assert_field_axioms,
     field_by_q,
+    holds_square_tables,
     without_op_tables,
 )
 
@@ -92,12 +96,12 @@ def test_field_axioms_exhaustive(q):
 def test_on_the_fly_arithmetic_above_table_limit():
     # primes and extensions past the table threshold share the same API
     f257 = FieldSpec(257)
-    assert f257._mul is None
+    assert not holds_square_tables(f257)
     a, b = f257.element(200), f257.element(123)
     assert (a * b).code == 200 * 123 % 257
     assert (a * a.inverse()) == f257.one
     f512 = FieldSpec(2, 9)
-    assert f512._mul is None
+    assert not holds_square_tables(f512)
     x = f512.element(300)
     assert x * f512.one == x
     assert (x * x.inverse()) == f512.one
@@ -307,7 +311,7 @@ def test_op_tables_match_raw_arithmetic(q, samples):
     # reads exp and log.  The raw polynomial operations are the reference
     spec = FieldSpec(*_prime_power(q))
     add, sub, mul, neg, inv = spec._op_tables()
-    assert (spec._mul is None) == (q > gf.LAZY_TABLE_LIMIT)
+    assert holds_square_tables(spec) == (q <= gf.LAZY_TABLE_LIMIT)
     codes = range(q)
     if samples is None:
         pairs = itertools.product(codes, codes)
@@ -331,9 +335,9 @@ def test_raw_rows_match_raw_arithmetic(q, monkeypatch):
     # every entry, read one by one and row by row
     without_op_tables(monkeypatch)
     spec = FieldSpec(*_prime_power(q))
-    assert spec._mul is None
+    assert not holds_square_tables(spec)
     add, sub, mul, neg, inv = spec._op_tables()
-    assert spec._mul is None
+    assert not holds_square_tables(spec)
     codes = range(q)
     for a in codes:
         raw = (
@@ -357,8 +361,60 @@ def test_op_tables_above_the_lazy_limit_take_o_q_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert spec._mul is None
+    assert not holds_square_tables(spec)
     assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("p, k", [(1009, 1), (31, 2), (2, 10)])
+def test_code_ops_read_the_op_tables_above_the_lazy_limit(p, k):
+    # once _op_tables has run, the code ops read its rows and its exp, log
+    # and inv lists, and never multiply polynomials; the raw operations,
+    # computed beforehand, are the reference
+    spec = FieldSpec(p, k)
+    q = spec.q
+    rng = random.Random(q)
+    pairs = [(rng.randrange(q), rng.randrange(1, q)) for _ in range(300)]
+
+    def raw_pow(a, e):
+        return functools.reduce(spec._mul_raw, [a] * e, 1)
+
+    raw_inv = {b: raw_pow(b, q - 2) for _, b in pairs}
+    expected = [
+        (
+            spec._add_raw(a, b),
+            spec._add_raw(a, spec._neg_raw(b)),
+            spec._mul_raw(a, b),
+            spec._neg_raw(a),
+            raw_inv[b],
+            raw_pow(a, 5),
+            spec._mul_raw(a, raw_inv[b]),
+        )
+        for a, b in pairs
+    ]
+    spec._op_tables()
+    with mock.patch.object(FieldSpec, "_mul_raw", side_effect=AssertionError):
+        got = [
+            (
+                spec.add_code(a, b),
+                spec.sub_code(a, b),
+                spec.mul_code(a, b),
+                spec.neg_code(a),
+                spec.inv_code(b),
+                spec.pow_code(a, 5),
+                spec.point_index(a, b),
+            )
+            for a, b in pairs
+        ]
+    assert got == expected
+
+
+def test_print_and_map_build_no_op_tables_on_a_large_field(capsys):
+    spec = parse_field_descriptor("2^16")
+    assert main(["print", "--field", "2^16", "--row", "1,1,1"]) == 0
+    assert main(["map", "--field", "2^16", "--to", "frieze", "--points", "0,1,inf"]) == 0
+    x = spec.element(40000)
+    assert x * x.inverse() == spec.one
+    assert (spec._add, spec._sub, spec._mul, spec._neg, spec._inv) == (None,) * 5
 
 
 @pytest.mark.parametrize(

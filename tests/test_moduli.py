@@ -48,6 +48,7 @@ from helpers import (
     PRIME_POWERS_LE_9,
     element_configuration_to_frieze,
     field_by_q,
+    holds_square_tables,
     keyed_orbit_count,
     without_op_tables,
 )
@@ -249,7 +250,7 @@ def test_signed_walk_without_op_tables_matches_the_tables(q, monkeypatch):
     assert got == expected
     assert pgl2_orbit_count(spec, 4, "plus").count == orbits
     assert moduli._ratio_tables.cache_info().currsize == 0
-    assert spec._mul is None
+    assert not holds_square_tables(spec)
 
 
 def test_signed_walks_build_the_det_table_once_per_spec():
@@ -582,6 +583,19 @@ def test_parse_points_rejects_codes_outside_the_field():
         with pytest.raises(ValueError, match="out of range"):
             parse_points(spec, ["0", label, "inf"])
     assert parse_points(F5, ["0", "4", "inf"]).indices == (0, 4, 5)
+
+
+@pytest.mark.parametrize("label", ["", "INF", "x", "1.0"])
+def test_parse_points_names_a_bad_label(label):
+    with pytest.raises(ValueError) as info:
+        parse_points(F5, ["0", label, "inf"])
+    assert str(info.value) == f"bad point label {label!r}: labels are element codes or inf"
+
+
+def test_configuration_to_frieze_needs_three_points():
+    for t in ((0, 1), (1, 3)):
+        with pytest.raises(ValueError, match="needs at least 3 points"):
+            configuration_to_frieze(Configuration.from_indices(F3, t))
 
 
 def test_orbit_summary_json():

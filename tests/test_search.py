@@ -35,6 +35,7 @@ from helpers import (
     PRIME_POWERS_LE_9,
     field_by_q,
     full_rows,
+    holds_square_tables,
     per_code_catalog_text,
     without_op_tables,
 )
@@ -111,7 +112,7 @@ def test_strategies_agree_without_op_tables(monkeypatch):
     spec = FieldSpec(257)
     naive = enumerate_friezes(spec, 1, "naive")
     mitm = enumerate_friezes(spec, 1, "mitm")
-    assert spec._mul is None
+    assert not holds_square_tables(spec)
     assert naive.tuples == mitm.tuples
     assert naive.orbits == mitm.orbits
     assert naive.total_count == count_friezes(257, False, 1)
@@ -128,7 +129,7 @@ def test_search_without_op_tables_matches_the_tables(q, monkeypatch):
             got = enumerate_friezes(spec, w, strategy)
             assert got.tuples == result.tuples
             assert got.total_count == result.total_count
-    assert spec._mul is None
+    assert not holds_square_tables(spec)
 
 
 def test_search_above_the_lazy_limit_takes_o_q_memory():
@@ -144,19 +145,23 @@ def test_search_above_the_lazy_limit_takes_o_q_memory():
             tracemalloc.stop()
         assert result.total_count == count_friezes(1009, False, 1)
         assert peak < 4 * 2**20, (strategy, peak)
-    assert spec._mul is None
+    assert not holds_square_tables(spec)
 
 
 def test_search_builds_op_tables_once_above_the_table_limit():
     spec = FieldSpec(257)
-    assert spec._mul is None
+    assert not holds_square_tables(spec)
     first = enumerate_friezes(spec, 1)
-    assert all(t is not None for t in (spec._add, spec._sub, spec._mul, spec._neg, spec._inv))
-    with mock.patch.object(
-        FieldSpec, "_build_tables", autospec=True, side_effect=FieldSpec._build_tables
-    ) as build:
+    assert holds_square_tables(spec)
+    builds, build = [], FieldSpec._op_tables
+
+    def counting(self):
+        builds.append(self._mul is None)
+        return build(self)
+
+    with mock.patch.object(FieldSpec, "_op_tables", autospec=True, side_effect=counting):
         again = enumerate_friezes(spec, 1, "naive")
-    assert build.call_count == 0
+    assert builds and not any(builds)
     assert again.orbits == first.orbits
 
 
@@ -297,7 +302,7 @@ def test_prefix_products_without_op_tables(p, k, monkeypatch):
         for b in range(spec.q)
     ]
     assert _prefix_products(spec, 2, firsts) == expected
-    assert spec._mul is None
+    assert not holds_square_tables(spec)
 
 
 def test_mitm_chunk_on_an_untabled_extension():
@@ -305,7 +310,7 @@ def test_mitm_chunk_on_an_untabled_extension():
     # first use; the naive chunk, which shares no completion step with the
     # mitm chunk, is the reference
     spec = FieldSpec(17, 2)
-    assert spec._mul is None
+    assert not holds_square_tables(spec)
     table = _mitm_table(spec, 1)
     firsts = (0, 1, 2, 17, 200, 288)
     found = []
