@@ -128,7 +128,7 @@ def _verify_rows(spec, args):
                 if key not in forms:
                     continue
                 if orbits:
-                    got = moduli.pgl2_orbit_count(spec, n, sign, args.budget).count
+                    got = moduli.count_pgl2_orbits(spec, n, sign, args.budget)
                 else:
                     stream = moduli.configuration_index_tuples(spec, n, sign, args.budget)
                     got = sum(1 for _ in stream)

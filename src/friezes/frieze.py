@@ -66,10 +66,13 @@ class FirstRow:
 
     @classmethod
     def _trusted(cls, spec: FieldSpec, codes: tuple[int, ...]) -> "FirstRow":
-        """Row from codes the search guarantees, built without the checks."""
+        """Row from codes the search guarantees, built without the checks.
+        The fields go straight into the instance __dict__, which the frozen
+        __setattr__ does not guard; equality, hash and repr read them the same."""
         row = object.__new__(cls)
-        object.__setattr__(row, "spec", spec)
-        object.__setattr__(row, "codes", codes)
+        fields = row.__dict__
+        fields["spec"] = spec
+        fields["codes"] = codes
         return row
 
     @property

@@ -67,7 +67,8 @@ class Configuration:
         for i in range(n):
             if self.indices[i] == self.indices[(i + 1) % n]:
                 raise ValueError(
-                    f"cyclically consecutive points {i} and {(i + 1) % n} coincide"
+                    f"cyclically consecutive positions {i} and {(i + 1) % n} "
+                    f"both hold point {self.labels()[i]}"
                 )
 
     @classmethod
@@ -76,10 +77,13 @@ class Configuration:
 
     @classmethod
     def _trusted(cls, spec: FieldSpec, indices: tuple[int, ...]) -> "Configuration":
-        """Configuration from a tuple of C_n that _walk made, without the checks."""
+        """Configuration from a tuple of C_n that _walk made, without the
+        checks, its fields written to the instance __dict__ as in
+        FirstRow._trusted."""
         config = object.__new__(cls)
-        object.__setattr__(config, "spec", spec)
-        object.__setattr__(config, "indices", indices)
+        fields = config.__dict__
+        fields["spec"] = spec
+        fields["indices"] = indices
         return config
 
     @property
@@ -377,6 +381,18 @@ def pgl2_orbit_count(
         tuple(Configuration._trusted(spec, key) for key in keys),
         tuple(sizes),
     )
+
+
+def count_pgl2_orbits(
+    spec: FieldSpec,
+    n: int,
+    sign_filter: str = "all",
+    budget: int = DEFAULT_BUDGET,
+) -> int:
+    """pgl2_orbit_count(spec, n, sign_filter, budget).count: the number of
+    orbit keys the cross-section walk streams, with no representative or
+    size built.  Bad arguments and the budget are refused as there."""
+    return sum(1 for _ in _walk(spec, n, sign_filter, budget, cross_section=True))
 
 
 def orbit_summary_to_json_dict(summary: OrbitSummary) -> dict:

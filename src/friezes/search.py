@@ -172,17 +172,24 @@ def _mitm_chunk(spec: FieldSpec, nl: int, first: int, table) -> list[tuple[int, 
 
 def _min_first_images(t: tuple[int, ...]) -> tuple[set[tuple[int, ...]], int]:
     """The images of the row t under rotation and reversal that start with
-    m = t[0], and the size of t's whole dihedral orbit.  They are the
-    rotations to, and the reversed slices ending at, the positions i with
-    t[i] = m: 2 len(starts) of the 2n elements of the dihedral group, each
-    image met 2n / size times, so size = n len(images) / len(starts)."""
+    m = t[0], and the size of t's whole dihedral orbit.  With r = (m,) +
+    t[:0:-1], the reversal that fixes position 0, they are the rotations of
+    t and of r to the positions holding m: k = t.count(m) starts in each,
+    t and r themselves and k - 1 more found by tuple.index.  That is 2k of
+    the 2n elements of the dihedral group, each image met 2n / size times,
+    so size = n len(images) / k."""
     n, m = len(t), t[0]
-    twice = t + t
-    rev = twice[::-1]
-    starts = [i for i, x in enumerate(t) if x == m]
-    images = {twice[i : i + n] for i in starts}
-    images.update(rev[n - 1 - i : 2 * n - 1 - i] for i in starts)
-    return images, n * len(images) // len(starts)
+    k = t.count(m)
+    r = (m,) + t[:0:-1]
+    images = {t, r}
+    tt, rr = t + t, r + r
+    i = j = 0
+    for _ in range(k - 1):
+        i = t.index(m, i + 1)
+        j = r.index(m, j + 1)
+        images.add(tt[i : i + n])
+        images.add(rr[j : j + n])
+    return images, n * len(images) // k
 
 
 def enumerate_friezes(
@@ -223,6 +230,7 @@ def enumerate_friezes(
     unmarked = set(rows)
     orbits = []
     total = 0
+    trusted = FirstRow._trusted
     for t in rows:
         if t not in unmarked:
             continue
@@ -230,7 +238,7 @@ def enumerate_friezes(
         if not images <= unmarked:
             raise AssertionError("solutions not dihedral-closed")
         unmarked -= images
-        orbits.append((FirstRow._trusted(spec, t), size))
+        orbits.append((trusted(spec, t), size))
         total += size
     return EnumerationResult(spec, width, total, orbits)
 

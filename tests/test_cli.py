@@ -303,6 +303,19 @@ def test_map_to_frieze_names_bad_points(capsys, points, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "points, err",
+    [
+        ("0,0,1", "error: cyclically consecutive positions 0 and 1 both hold point 0\n"),
+        ("1,2,1", "error: cyclically consecutive positions 2 and 0 both hold point 1\n"),
+        ("0,inf,inf", "error: cyclically consecutive positions 1 and 2 both hold point inf\n"),
+    ],
+)
+def test_map_to_frieze_names_coinciding_points(capsys, points, err):
+    # the message names the point by its label and the two positions holding it
+    assert run(capsys, "map", "--field", "3", "--to", "frieze", "--points", points) == (1, "", err)
+
+
 def test_print_triangle(capsys):
     code, out, _ = run(capsys, "print", "--field", "2", "--row", "1,1,1,0,0")
     assert code == 0

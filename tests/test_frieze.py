@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -345,3 +346,33 @@ def test_min_first_images_are_the_orbit_images_starting_with_t0(codes):
     images, size = _min_first_images(codes)
     assert images == {image for image in orbit if image[0] == codes[0]}
     assert size == len(orbit)
+
+
+@pytest.mark.parametrize(
+    "codes, images, size",
+    [
+        # constant: one image, which every rotation and reversal fixes
+        ((0,) * 6, {(0,) * 6}, 1),
+        # palindrome: the reversal through position 0 fixes it
+        ((0, 1, 2, 2, 1), {(0, 1, 2, 2, 1)}, 5),
+        # the minimum fills all but one position
+        ((0, 0, 0, 0, 1), {(0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 1, 0, 0),
+                           (0, 1, 0, 0, 0)}, 5),
+    ],
+)
+def test_min_first_images_on_fixed_rows(codes, images, size):
+    assert _min_first_images(codes) == (images, size)
+
+
+@pytest.mark.parametrize("spec, codes", [(F2, (1, 1, 1, 0, 0)), (F5, (0, 4, 3, 2, 1, 0))])
+def test_trusted_row_is_the_checked_row(spec, codes):
+    # the search builds its representatives this way, without the checks
+    trusted, checked = FirstRow._trusted(spec, codes), FirstRow(spec, codes)
+    assert trusted == checked and checked == trusted
+    assert hash(trusted) == hash(checked)
+    assert repr(trusted) == repr(checked)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trusted.codes = (0, 0, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del trusted.spec
+    assert trusted.codes == codes and trusted.spec is spec

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -39,6 +40,7 @@ from friezes.moduli import (
     _det_table,
     _sign_products,
     configuration_index_tuples,
+    count_pgl2_orbits,
     orbit_of,
     parse_points,
 )
@@ -692,6 +694,31 @@ def test_orbit_walk_matches_the_keyed_count():
         assert summary.count == len(reps)
 
 
+def test_key_count_equals_the_orbit_count():
+    # verify --which moduli counts the keys without building the summary
+    for q, n, sign in ORACLE_CASES:
+        spec = field_by_q(q)
+        assert count_pgl2_orbits(spec, n, sign) == pgl2_orbit_count(spec, n, sign).count
+
+
+def test_key_count_refuses_what_the_orbit_count_refuses():
+    # each argument list is bad in more than one way, so the first check
+    # that fires shows the order
+    for args, kwargs in (
+        ((F3, 1, "none"), {"budget": 1}),
+        ((F3, 3, "plus"), {"budget": 1}),
+        ((F3, 1), {"budget": 1}),
+        ((F3, 5), {"budget": 100}),
+        ((F2, 10**5), {}),
+    ):
+        errors = []
+        for count in (count_pgl2_orbits, pgl2_orbit_count):
+            with pytest.raises((ValueError, OddNWithSignFilter, BudgetExceeded)) as info:
+                count(*args, **kwargs)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1], args
+
+
 def test_walked_configurations_equal_checked_ones():
     # pgl2_orbit_count and enumerate_configurations build their
     # Configurations without the checks
@@ -700,6 +727,21 @@ def test_walked_configurations_equal_checked_ones():
         walked = pgl2_orbit_count(spec, n, sign).representatives
         for c in itertools.chain(walked, enumerate_configurations(spec, n, sign)):
             assert Configuration.from_indices(spec, c.indices) == c, (q, n, sign)
+
+
+@pytest.mark.parametrize("q, indices", [(3, (0, 1, 3)), (5, (2, 5, 0, 5, 1, 4))])
+def test_trusted_configuration_is_the_checked_one(q, indices):
+    spec = field_by_q(q)
+    trusted = Configuration._trusted(spec, indices)
+    checked = Configuration.from_indices(spec, indices)
+    assert trusted == checked and checked == trusted
+    assert hash(trusted) == hash(checked)
+    assert repr(trusted) == repr(checked)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trusted.indices = (0, 1, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del trusted.spec
+    assert trusted.indices == indices and trusted.spec is spec
 
 
 def test_orbit_representatives_are_their_own_keys():
