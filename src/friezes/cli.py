@@ -127,11 +127,8 @@ def _verify_rows(spec, args):
             for check, key, sign, orbits in MODULI_CHECKS:
                 if key not in forms:
                     continue
-                if orbits:
-                    got = moduli.count_pgl2_orbits(spec, n, sign, args.budget)
-                else:
-                    stream = moduli.configuration_index_tuples(spec, n, sign, args.budget)
-                    got = sum(1 for _ in stream)
+                count = moduli.count_pgl2_orbits if orbits else moduli.count_configuration_tuples
+                got = count(spec, n, sign, args.budget)
                 yield check, ("n", n), got, forms[key], got == forms[key]
     if args.which in ("partitions", "all"):
         for n in range(2, args.max_n + 1):

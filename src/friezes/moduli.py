@@ -12,10 +12,13 @@ the frieze correspondence needs.  In characteristic 2 the two classes
 coincide.
 
 configuration_index_tuples streams C_n, and pgl2_orbit_count walks the orbit
-keys, with one loop (_walk): lex-ordered prefixes, each joined to the tails
+keys, with one loop (_walk): lex-ordered prefixes, each paired with the tails
 that close it, read from a table keyed by the prefix's last and first points
 and built on first visit from one list of tail paths.  A signed walk groups
-each entry's tails by the sign ratio of the edges they close.
+each entry's tails by the sign ratio of the edges they close.  The C_n
+stream joins each (prefix, tails) chunk in C, so Python runs once per prefix,
+not per tuple; count_configuration_tuples and count_pgl2_orbits sum the
+chunks' tail counts and build no tuple.
 
 A Configuration stores point indices 0..q and builds ProjPoints only in
 Configuration.points.  Indices and vectors are converted by
@@ -35,6 +38,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -186,9 +190,25 @@ def configuration_index_tuples(
     configuration and partition counts; enumerate_configurations wraps it in
     Configuration objects.  Each prefix is joined to a table of tails keyed
     by its last and first points, so memory stays near |C_n|/q tails.  The
-    stream is lazy: bad arguments and the budget are checked on the first
-    next()."""
-    return _walk(spec, n, sign_filter, budget, cross_section=False)
+    joins run in C, ``map(prefix.__add__, tails)`` chained by
+    chain.from_iterable, so Python resumes _walk once per prefix, not once
+    per tuple.  The stream is lazy: bad arguments and the budget are checked
+    on the first next()."""
+    chunks = _walk(spec, n, sign_filter, budget, cross_section=False)
+    return chain.from_iterable(map(prefix.__add__, tails) for prefix, tails in chunks)
+
+
+def count_configuration_tuples(
+    spec: FieldSpec,
+    n: int,
+    sign_filter: str = "all",
+    budget: int = DEFAULT_BUDGET,
+) -> int:
+    """The number of tuples configuration_index_tuples streams: the tail
+    counts of the walk's chunks summed, with no tuple built.  Bad arguments
+    and the budget are refused as there."""
+    chunks = _walk(spec, n, sign_filter, budget, cross_section=False)
+    return sum(len(tails) for _, tails in chunks)
 
 
 def _is_orbit_key(tup: tuple[int, ...]) -> bool:
@@ -199,17 +219,19 @@ def _is_orbit_key(tup: tuple[int, ...]) -> bool:
 
 def _walk(
     spec: FieldSpec, n: int, sign_filter: str, budget: int, cross_section: bool
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[tuple[tuple[int, ...], Sequence[tuple[int, ...]]]]:
     """The tuples of C_n, or with cross_section the orbit keys among them (see
-    pgl2_orbit_count), in a sign class and in lexicographic order.
+    pgl2_orbit_count), in a sign class and in lexicographic order, as
+    (prefix, tails) chunks: the tuples are prefix + tail for tail in tails.
 
-    One loop joins each prefix t_0..t_{m-1}, m = n - s, to tails(t_{m-1},
+    One loop pairs each prefix t_0..t_{m-1}, m = n - s, with tails(t_{m-1},
     t_0): the paths t_m..t_{n-1} with consecutive points distinct, the first
     distinct from t_{m-1} and the last from t_0, in lex order.  A table entry
     is built on the first visit of its key from one list of tail paths, and
-    ``map(prefix.__add__, tails)`` emits its tuples, so no tuple is built and
-    then discarded.  Prefixes and tail paths grow the same way, one point at
-    a time, as in search._prefix_products and partitions._rgs_chunks.
+    the chunk hands out that list itself, so no tuple is built and then
+    discarded; the streams join them, the counts only sum their lengths.
+    Prefixes and tail paths grow the same way, one point at a time, as in
+    search._prefix_products and partitions._rgs_chunks.
 
     The full walk takes s = max(1, min(n // 2, n - 3)), so the table holds
     about (q + 1)^2 q^s <= |C_n|/q tails for n >= 4.  Its prefixes are the
@@ -217,9 +239,10 @@ def _walk(
     expanded lazily, so no list holds every prefix.  The cross-section walk
     takes s = 2 (s = 1 for n <= 4), and its prefixes, a few per orbit key,
     are made up front: first the alternation 0, 1, 0, ... of length m, the
-    one prefix whose tails are filtered by key shape, then the paths grown
-    from the roots (0, 1, ..., 2) that put the first 2 after the alternation,
-    deepest first.  That is lex order as well.
+    one prefix whose tails are filtered by key shape (its chunk is prefix ()
+    with the filtered keys as tails), then the paths grown from the roots
+    (0, 1, ..., 2) that put the first 2 after the alternation, deepest
+    first.  That is lex order as well.
 
     Signs: edge e_i = det(t_i, t_{i+1}), and e_{n-1} = det(t_0, t_{n-1})
     with the twist, enters the ratio podd/peven as e_i for even i and as
@@ -290,7 +313,7 @@ def _walk(
         for i in range(m - 1):
             us.append(mul[us[i]][inverse[i % 2][alternation[i]][alternation[i + 1]]])
         head = tails(alternation[-1], 0).get(us[-1], ())
-        yield from filter(_is_orbit_key, map(alternation.__add__, head))
+        yield (), list(filter(_is_orbit_key, map(alternation.__add__, head)))
         prefixes = []
         for i in range(m - 1, 1, -1):
             u = mul[us[i - 1]][inverse[(i - 1) % 2][alternation[i - 1]][2]]
@@ -305,7 +328,7 @@ def _walk(
         if m > 1:
             prefixes = grow(prefixes, inverse[m % 2])
     for prefix, u in prefixes:
-        yield from map(prefix.__add__, tails(prefix[-1], prefix[0]).get(u, ()))
+        yield prefix, tails(prefix[-1], prefix[0]).get(u, ())
 
 
 def enumerate_configurations(
@@ -368,7 +391,10 @@ def pgl2_orbit_count(
     lex order as prefixes (0, 1, ..., 2) joined to tail tables, about
     q^(n-3) tuples where C_n has about q^n; the budget still charges (q+1)^n
     candidates, like configuration_index_tuples, through errors.check_budget."""
-    keys = tuple(_walk(spec, n, sign_filter, budget, cross_section=True))
+    chunks = _walk(spec, n, sign_filter, budget, cross_section=True)
+    # a comprehension, not the stream's chain: most counts have few keys, and
+    # setting up the chain costs them more than it saves
+    keys = [prefix + tail for prefix, tails in chunks for tail in tails]
     q = spec.q
     sizes = [q**3 - q] * len(keys)
     if keys and max(keys[0]) < 2:
@@ -389,10 +415,11 @@ def count_pgl2_orbits(
     sign_filter: str = "all",
     budget: int = DEFAULT_BUDGET,
 ) -> int:
-    """pgl2_orbit_count(spec, n, sign_filter, budget).count: the number of
-    orbit keys the cross-section walk streams, with no representative or
-    size built.  Bad arguments and the budget are refused as there."""
-    return sum(1 for _ in _walk(spec, n, sign_filter, budget, cross_section=True))
+    """pgl2_orbit_count(spec, n, sign_filter, budget).count: the tail counts
+    of the cross-section walk's chunks summed, with no key, representative
+    or size built.  Bad arguments and the budget are refused as there."""
+    chunks = _walk(spec, n, sign_filter, budget, cross_section=True)
+    return sum(len(tails) for _, tails in chunks)
 
 
 def orbit_summary_to_json_dict(summary: OrbitSummary) -> dict:

@@ -77,11 +77,12 @@ def _rgs_chunks(
 def _rgs_walk(n: int) -> Iterator[tuple[int, ...]]:
     """Restricted-growth strings of length n >= 2 with b_i != b_{i-1} and
     b_{n-1} != b_0, in lexicographic order: each prefix of _rgs_chunks joined
-    to its tails with ``map(prefix.__add__, tails)``.  The table's tails are
-    in lex order, so the strings come out in the same order as a lex-ordered
-    product of restricted-growth strings filtered by adjacency."""
-    for prefix, tails, _ in _rgs_chunks(n):
-        yield from map(prefix.__add__, tails)
+    to its tails with ``map(prefix.__add__, tails)``, chained in C as in
+    moduli.configuration_index_tuples.  The table's tails are in lex order,
+    so the strings come out in the same order as a lex-ordered product of
+    restricted-growth strings filtered by adjacency."""
+    chunks = _rgs_chunks(n)
+    return chain.from_iterable(map(prefix.__add__, tails) for prefix, tails, _ in chunks)
 
 
 def enumerate_cyclic_partitions(n: int, k: int) -> Iterator[CyclicPartition]:
@@ -106,13 +107,14 @@ def count_cyclic_partitions(n: int, k: int) -> int:
 def cyclic_partition_counts(n: int, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Counts for every block count at once: entry k is the number of valid
     partitions of the n-cycle into k blocks (one walk, no per-k reruns).
-    Every string of the walk adds its block count, read from the tail table
-    of its prefix, so the strings themselves are never built.  Raises
-    BudgetExceeded before walking if the walk would yield more than budget
-    strings, sum_k A_{k,n} by the closed form.  A_{3,n} = (2^n + 2(-1)^n)/6
-    >= 2^(n-3) for n >= 3, so when n - 3 > budget.bit_length() it is charged
-    as the pair (2, n - 3): check_budget refuses that without building 2^n,
-    as it would refuse the exact term."""
+    The walk counts the prefixes that read each tail-table entry; each
+    entry's block counts are tallied once and weighted by that number, so
+    no string is built and no string's block count is tallied on its own.
+    Raises BudgetExceeded before walking if the walk would yield more than
+    budget strings, sum_k A_{k,n} by the closed form.  A_{3,n} =
+    (2^n + 2(-1)^n)/6 >= 2^(n-3) for n >= 3, so when n - 3 >
+    budget.bit_length() it is charged as the pair (2, n - 3): check_budget
+    refuses that without building 2^n, as it would refuse the exact term."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     huge = n - 3 > budget.bit_length()
@@ -120,8 +122,15 @@ def cyclic_partition_counts(n: int, budget: int = DEFAULT_BUDGET) -> list[int]:
         (2, n - 3) if huge and k == 3 else a_kn_closed_form(k, n) for k in range(2, n + 1)
     )
     check_budget(strings, budget, "cyclic partition strings")
-    tally = Counter(chain.from_iterable(b for _, _, b in _rgs_chunks(n)))
-    return [tally[k] for k in range(n + 1)]
+    entries, readers = {}, Counter()
+    for _, _, blocks in _rgs_chunks(n):
+        entries[id(blocks)] = blocks  # held, so an id names one entry
+        readers[id(blocks)] += 1
+    tally = [0] * (n + 1)
+    for key, blocks in entries.items():
+        for k, strings in Counter(blocks).items():
+            tally[k] += readers[key] * strings
+    return tally
 
 
 def a_kn_closed_form(k: int, n: int) -> int:

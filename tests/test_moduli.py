@@ -40,6 +40,7 @@ from friezes.moduli import (
     _det_table,
     _sign_products,
     configuration_index_tuples,
+    count_configuration_tuples,
     count_pgl2_orbits,
     orbit_of,
     parse_points,
@@ -701,18 +702,57 @@ def test_key_count_equals_the_orbit_count():
         assert count_pgl2_orbits(spec, n, sign) == pgl2_orbit_count(spec, n, sign).count
 
 
+# each argument list is bad in more than one way, so the first check that
+# fires shows the order
+REFUSED_COUNTS = (
+    ((F3, 1, "none"), {"budget": 1}),
+    ((F3, 3, "plus"), {"budget": 1}),
+    ((F3, 1), {"budget": 1}),
+    ((F3, 5), {"budget": 100}),
+    ((F2, 10**5), {}),
+)
+
+
 def test_key_count_refuses_what_the_orbit_count_refuses():
-    # each argument list is bad in more than one way, so the first check
-    # that fires shows the order
-    for args, kwargs in (
-        ((F3, 1, "none"), {"budget": 1}),
-        ((F3, 3, "plus"), {"budget": 1}),
-        ((F3, 1), {"budget": 1}),
-        ((F3, 5), {"budget": 100}),
-        ((F2, 10**5), {}),
-    ):
+    for args, kwargs in REFUSED_COUNTS:
         errors = []
         for count in (count_pgl2_orbits, pgl2_orbit_count):
+            with pytest.raises((ValueError, OddNWithSignFilter, BudgetExceeded)) as info:
+                count(*args, **kwargs)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1], args
+
+
+def test_tuple_count_equals_the_stream():
+    # verify --which moduli counts C_n and its sign classes without a tuple
+    for q, n, sign in ORACLE_CASES:
+        spec = field_by_q(q)
+        got = count_configuration_tuples(spec, n, sign)
+        assert got == sum(1 for _ in configuration_index_tuples(spec, n, sign)), (q, n, sign)
+        if sign == "all":
+            assert got == count_configurations(q, n)
+        else:
+            signed = count_signed_configurations(q, spec.char_is_2, n)
+            assert got == getattr(signed, sign), (q, n, sign)
+
+
+def test_tuple_count_reaches_beyond_the_stream():
+    # |C_16| over GF(3) is about 4.3 * 10^7 tuples; the count walks 8748
+    # prefixes and sums their tail counts
+    budget = 10**10
+    assert count_configuration_tuples(F3, 16, budget=budget) == count_configurations(3, 16)
+    signed = count_signed_configurations(3, False, 16)
+    for sign in ("plus", "minus"):
+        assert count_configuration_tuples(F3, 16, sign, budget) == getattr(signed, sign)
+
+
+def test_tuple_count_refuses_what_the_stream_refuses():
+    def stream(*args, **kwargs):
+        return list(configuration_index_tuples(*args, **kwargs))
+
+    for args, kwargs in REFUSED_COUNTS:
+        errors = []
+        for count in (count_configuration_tuples, stream):
             with pytest.raises((ValueError, OddNWithSignFilter, BudgetExceeded)) as info:
                 count(*args, **kwargs)
             errors.append((type(info.value), str(info.value)))

@@ -1,6 +1,7 @@
 import itertools
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from operator import ne
 from unittest import mock
@@ -136,6 +137,13 @@ def test_walk_counts_for_eleven_and_twelve_points():
     assert cyclic_partition_counts(12) == [
         0, 0, 1, 682, 21461, 118008, 210232, 159060, 58542, 11165, 1111, 54, 1
     ]
+
+
+def test_weighted_tally_equals_the_per_string_tally():
+    # cyclic_partition_counts weights each tail-table entry by the prefixes
+    # that read it; the oracle reads the block count off every string
+    tally = Counter(max(s) + 1 for s in _rgs_walk(11))
+    assert cyclic_partition_counts(11) == [tally[k] for k in range(12)]
 
 
 def test_walk_memory_stays_small():
