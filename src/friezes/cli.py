@@ -56,7 +56,7 @@ def cmd_enumerate(args) -> int:
     config = search.SearchConfig(budget=args.budget)
     result = search.enumerate_friezes(spec, args.width, args.strategy, config)
     if args.format == "json":
-        print(json.dumps(search.enumeration_to_json_dict(result)))
+        print(search.catalog_orbits(result, "json"))
     else:
         print(f"count: {result.total_count}")
         print(search.catalog_orbits(result))

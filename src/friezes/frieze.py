@@ -33,7 +33,8 @@ FirstRow(spec, codes) and FirstRow.from_codes check their codes;
 FirstRow._trusted skips the checks, for the search's orbit representatives.  The
 SL2 step P -> M(a) P of one row is row_products, by code ops;
 search._prefix_products is the search's copy, which steps all q children of a
-prefix at once from two FieldSpec.line_codes rows.
+prefix at once from two FieldSpec.line_codes rows and writes the prefixes as
+strs of chr(code), decoded to code tuples only for orbit representatives.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ entries of a row follow from the others.  Two strategies:
          for each left product L = M(a_nl)...M(a_1) the equation
          R L = -M(a_n)^(-1) = [[0, -1], [1, -a_n]] fixes that first row as
          (l10, -l00) and every entry of its bucket fixes a_n, so the work is
-         q^nl left leaves plus the q^nr table.  Buckets are keyed by
-         (r00, -r01) and hold (mid, -r10, -r11), so a leaf looks up
-         (l10, l00) and a_n = (-r10) l01 + (-r11) l11 needs no negation.
+         q^nl left leaves plus the q^nr table.  Buckets are keyed by the int
+         r00 q + (-r01) and hold (mid, -r10, -r11), so a leaf looks up
+         l10 q + l00 and a_n = (-r10) l01 + (-r11) l11 needs no negation.
 
 Both walk prefixes with _prefix_products, the search's copy of the SL2 step
 (frieze.row_products is the single-row one).  It steps all q children of a
@@ -27,7 +27,12 @@ FieldSpec.line_codes.  The completions read rows of the op tables too
 builder: lists up to gf.LAZY_TABLE_LIMIT, built on a field's first search
 above gf.TABLE_LIMIT (whose budget charges at least 4 q^2), and rows
 computed per read above it, which the field's code ops read from then on.
-Rows stay code tuples; only orbit representatives become FirstRows, built
+
+Rows, prefixes and mids are strs, code c written as chr(c) and read from
+one alphabet per q (_alphabet): str order is the lex order of the code
+tuples, a str keeps its hash once computed, and slicing and joining copy
+bytes.  So codes stop at 0x10FFFF and the search refuses q > 0x110000.
+Only orbit representatives are decoded to code tuples, into FirstRows built
 by FirstRow._trusted without re-checking codes the search made in range.
 
 Both search only min-first rows, whose first code is their smallest: the
@@ -44,7 +49,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import DEFAULT_BUDGET, check_budget
 from .formulas import count_friezes
@@ -80,30 +85,44 @@ class EnumerationResult:
         return sorted(rows)
 
 
+# The largest q whose codes all have a chr: chr stops at 0x10FFFF.
+MAX_CHR_FIELD = 0x110000
+
+
+@lru_cache(maxsize=16)
+def _alphabet(q: int) -> tuple[str, ...]:
+    """chr(c) for every code c of a field of size q: the chars rows are
+    written in, one tuple per q, so every row reads the same char objects.
+    Above code 255 each char is its own object, so only a few are kept."""
+    return tuple(map(chr, range(q)))
+
+
 def _prefix_products(spec: FieldSpec, length: int, firsts, low: int = 0) -> list[tuple]:
     """Every prefix (a_1, ..., a_length) with a_1 in firsts and later codes
-    >= low, in lex order, as (prefix, p00, p01, p10, p11) with
-    P = M(a_length)...M(a_1): a flat walk that steps P -> M(a) P for a whole
-    level at a time.  The children of one parent read their new first row
-    (a p00 - p10, a p01 - p11) from two line_codes rows, sliced at low."""
+    >= low, in lex order, as (prefix, p00, p01, p10, p11) with the prefix a
+    str of chr(a_i) and P = M(a_length)...M(a_1): a flat walk that steps
+    P -> M(a) P for a whole level at a time.  The children of one parent
+    read their new first row (a p00 - p10, a p01 - p11) from two line_codes
+    rows, sliced at low."""
     line = spec.line_codes
-    codes = range(low, spec.q)
+    alphabet = _alphabet(spec.q)
+    chars = alphabet[low:]
     neg1 = spec.neg_code(1)
-    level = [((x,), x, neg1, 1, 0) for x in firsts]
+    level = [(alphabet[x], x, neg1, 1, 0) for x in firsts]
     for _ in range(length - 1):
         level = [
-            (prefix + (x,), y0, y1, p00, p01)
+            (prefix + c, y0, y1, p00, p01)
             for prefix, p00, p01, p10, p11 in level
-            for x, y0, y1 in zip(codes, line(p00, p10)[low:], line(p01, p11)[low:])
+            for c, y0, y1 in zip(chars, line(p00, p10)[low:], line(p01, p11)[low:])
         ]
     return level
 
 
-def _naive_chunk(spec: FieldSpec, n: int, first: int) -> list[tuple[int, ...]]:
+def _naive_chunk(spec: FieldSpec, n: int, first: int) -> list[str]:
     """The min-first rows with a_1 = first, in lex order: a_2..a_{n-3} are
     scanned over the codes >= first, and the last three entries are solved
     from the prefix product and kept when all three are >= first."""
-    codes = range(spec.q)
+    alphabet = _alphabet(spec.q)
     add, sub, mul, neg, inv = spec._op_tables()
     inc, neg1 = add[1], neg[1]
     leaves = _prefix_products(spec, n - 3, (first,), first)
@@ -118,29 +137,29 @@ def _naive_chunk(spec: FieldSpec, n: int, first: int) -> list[tuple[int, ...]]:
             y = mul[inc[p10]][inv[p00]]
             z = sub[p11][mul[y][p01]]
             if y >= first and z >= first:
-                out.append(prefix + (y, p00, z))
+                out.append(prefix + alphabet[y] + alphabet[p00] + alphabet[z])
         elif p10 == neg1 and not first:
-            out += [
-                prefix + (y, 0, z)
-                for y, z in zip(codes, spec.line_codes(neg[p01], neg[p11]))
-            ]
+            zs = spec.line_codes(neg[p01], neg[p11])
+            out += [prefix + y + "\0" + alphabet[z] for y, z in zip(alphabet, zs)]
     return out
 
 
 def _mitm_table(spec: FieldSpec, nr: int):
-    """Middle products R = M(a_{n-1})...M(a_{nl+1}) keyed by (r00, -r01), R's
-    first row with its second entry negated.  Each bucket lists
-    (mid, -r10, -r11, min(mid)) with mid = (a_{nl+1}, ..., a_{n-1}), in lex
-    order of mid.  The signs are those _mitm_chunk needs, so it negates
-    nothing; the min tag lets every chunk share this one table."""
+    """Middle products R = M(a_{n-1})...M(a_{nl+1}) keyed by the int
+    r00 q + (-r01), R's first row with its second entry negated.  Each
+    bucket lists (mid, -r10, -r11, min(mid)) with mid the str of
+    (a_{nl+1}, ..., a_{n-1}), in lex order of mid.  The signs are those
+    _mitm_chunk needs, so it negates nothing; the min tag, a code, lets
+    every chunk share this one table."""
+    q = spec.q
     neg = spec._op_tables()[3]
     table = defaultdict(list)
-    for mid, r00, r01, r10, r11 in _prefix_products(spec, nr, range(spec.q)):
-        table[(r00, neg[r01])].append((mid, neg[r10], neg[r11], min(mid)))
+    for mid, r00, r01, r10, r11 in _prefix_products(spec, nr, range(q)):
+        table[r00 * q + neg[r01]].append((mid, neg[r10], neg[r11], ord(min(mid))))
     return dict(table)
 
 
-def _mitm_chunk(spec: FieldSpec, nl: int, first: int, table) -> list[tuple[int, ...]]:
+def _mitm_chunk(spec: FieldSpec, nl: int, first: int, table) -> list[str]:
     """The min-first rows with a_1 = first, in lex order.  Left prefixes are
     walked over the codes >= first to one level short of the leaves L; each
     child x looks up the bucket at R's forced first row before its leaf is
@@ -148,39 +167,41 @@ def _mitm_chunk(spec: FieldSpec, nl: int, first: int, table) -> list[tuple[int, 
     solved a_n are >= first."""
     out = []
     get = table.get
-    codes = range(first, spec.q)
+    q = spec.q
+    alphabet = _alphabet(q)
     line = spec.line_codes
     add, sub, mul, _, _ = spec._op_tables()
     # The leaf of parent P and child x has rows (l00, l01) = (x p00 - p10,
     # x p01 - p11) and (l10, l11) = (p00, p01).  R L = [[0, -1], [1, -a_n]]:
-    # R's first row is (l10, -l00), so the key (r00, -r01) is (p00, l00);
-    # the (1, 0) entry follows from det R = det L = 1 and gives
+    # R's first row is (l10, -l00), so the key r00 q + (-r01) is
+    # p00 q + l00; the (1, 0) entry follows from det R = det L = 1 and gives
     # a_n = (-r10) l01 + (-r11) l11.
     for prefix, p00, p01, p10, p11 in _prefix_products(spec, nl - 1, (first,), first):
-        for x, l00 in zip(codes, line(p00, p10)[first:]):
-            bucket = get((p00, l00))
+        base = p00 * q
+        for x, l00 in zip(range(first, q), line(p00, p10)[first:]):
+            bucket = get(base + l00)
             if bucket:
-                leaf = prefix + (x,)
+                leaf = prefix + alphabet[x]
                 m01, m11 = mul[sub[mul[x][p01]][p11]], mul[p01]
                 for mid, s10, s11, least in bucket:
                     if least >= first:
                         a_n = add[m01[s10]][m11[s11]]
                         if a_n >= first:
-                            out.append(leaf + mid + (a_n,))
+                            out.append(leaf + mid + alphabet[a_n])
     return out
 
 
-def _min_first_images(t: tuple[int, ...]) -> tuple[set[tuple[int, ...]], int]:
-    """The images of the row t under rotation and reversal that start with
-    m = t[0], and the size of t's whole dihedral orbit.  With r = (m,) +
-    t[:0:-1], the reversal that fixes position 0, they are the rotations of
-    t and of r to the positions holding m: k = t.count(m) starts in each,
-    t and r themselves and k - 1 more found by tuple.index.  That is 2k of
-    the 2n elements of the dihedral group, each image met 2n / size times,
-    so size = n len(images) / k."""
+def _min_first_images(t):
+    """The images of the row t, a str or a code tuple, under rotation and
+    reversal that start with m = t[0], and the size of t's whole dihedral
+    orbit.  With r = t[:1] + t[:0:-1], the reversal that fixes position 0,
+    they are the rotations of t and of r to the positions holding m:
+    k = t.count(m) starts in each, t and r themselves and k - 1 more found
+    by index.  That is 2k of the 2n elements of the dihedral group, each
+    image met 2n / size times, so size = n len(images) / k."""
     n, m = len(t), t[0]
     k = t.count(m)
-    r = (m,) + t[:0:-1]
+    r = t[:1] + t[:0:-1]
     images = {t, r}
     tt, rr = t + t, r + r
     i = j = 0
@@ -217,6 +238,11 @@ def enumerate_friezes(
     n, q = width + 3, spec.q
     work = range(1, n) if strategy == "naive" else [(n + 1) // 2, n // 2] * 2
     check_budget(((q, e) for e in work), config.budget, "estimated matrix operations")
+    if q > MAX_CHR_FIELD:
+        raise ValueError(
+            f"cannot search GF({spec.descriptor}): q = {q} is above {MAX_CHR_FIELD} "
+            f"= 0x110000, the limit of codes written as chars (chr stops at 0x10FFFF)"
+        )
     rows = []
     if strategy == "naive":
         for first in range(spec.q):
@@ -238,7 +264,7 @@ def enumerate_friezes(
         if not images <= unmarked:
             raise AssertionError("solutions not dihedral-closed")
         unmarked -= images
-        orbits.append((trusted(spec, t), size))
+        orbits.append((trusted(spec, tuple(map(ord, t))), size))
         total += size
     return EnumerationResult(spec, width, total, orbits)
 
@@ -271,12 +297,22 @@ def verify_count_formula(
 
 
 def catalog_orbits(result: EnumerationResult, fmt: str = "text") -> str:
-    """Orbit catalog sorted by canonical representative."""
-    if fmt == "json":
-        return json.dumps(enumeration_to_json_dict(result))
-    if fmt != "text":
+    """Orbit catalog sorted by canonical representative, as text or as the
+    JSON of enumeration_to_json_dict.  Both render the codes from one list
+    of q strings per call."""
+    if fmt not in ("text", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     spec = result.spec
+    if fmt == "json":
+        strs = list(map(str, range(spec.q)))
+        orbits = ", ".join(
+            f'{{"rep": [{", ".join(map(strs.__getitem__, rep.codes))}], "size": {size}}}'
+            for rep, size in result.orbits
+        )
+        return (
+            f'{{"field": {json.dumps(spec.descriptor)}, "width": {result.width}, '
+            f'"count": {result.total_count}, "orbits": [{orbits}]}}'
+        )
     strs = [spec.element_str(c) for c in range(spec.q)]
     lines = [
         f"field {spec.descriptor}  width {result.width}  "
@@ -288,6 +324,8 @@ def catalog_orbits(result: EnumerationResult, fmt: str = "text") -> str:
 
 
 def enumeration_to_json_dict(result: EnumerationResult) -> dict:
+    """The JSON catalog as a dict: catalog_orbits(result, "json") is its
+    json.dumps."""
     return {
         "field": result.spec.descriptor,
         "width": result.width,

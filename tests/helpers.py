@@ -5,13 +5,14 @@ full row search that checks the min-first frieze catalog, the per-code text
 catalog that checks its rendering, and the FieldElement lift that checks the
 code-native configuration_to_frieze."""
 
+import itertools
 from collections import Counter, defaultdict
 from functools import cache
 
 from friezes import FieldSpec, FirstRow, FirstRowClass, gf, matrix_criterion
 from friezes.errors import NotLiftable
+from friezes.frieze import row_products
 from friezes.moduli import configuration_index_tuples
-from friezes.search import _prefix_products
 
 PRIME_POWERS_LE_9 = (2, 3, 4, 5, 7, 8, 9)
 
@@ -134,32 +135,42 @@ def keyed_orbit_count(spec: FieldSpec, n: int, sign_filter: str = "all"):
     return reps, [counter[rep] for rep in reps]
 
 
+def decode(rows) -> list[tuple[int, ...]]:
+    """Search rows, strs of chr(code), as code tuples."""
+    return [tuple(map(ord, row)) for row in rows]
+
+
 def full_rows(spec: FieldSpec, width: int, strategy: str) -> list[tuple[int, ...]]:
-    """Every first row of the given width, in lex order, found by the search
-    with no min-first filter: every first code and every later code, the
+    """Every first row of the given width, in lex order, with no min-first
+    filter: every first code and every later code, the prefixes taken from
+    itertools.product, their products from frieze.row_products and the
     forced entries solved in code ops.  enumerate_friezes searches only the
     rows whose first code is their smallest and rebuilds the rest from its
-    orbits; this finds the rest independently."""
+    orbits; this finds the rest independently, sharing no code with it."""
     n, q = width + 3, spec.q
     mul, add, sub, inv = spec.mul_code, spec.add_code, spec.sub_code, spec.inv_code
     neg = spec.neg_code
+    codes = range(q)
     rows = []
     if strategy == "naive":
         # M(z) M(p00) M(y) = -P^(-1): y p00 = 1 + p10 and z = p11 - y p01
-        for prefix, p00, p01, p10, p11 in _prefix_products(spec, n - 3, range(q)):
+        for prefix in itertools.product(codes, repeat=n - 3):
+            p00, p01, p10, p11 = row_products(spec, prefix)[-1]
             if p00:
                 y = mul(add(1, p10), inv(p00))
                 rows.append(prefix + (y, p00, sub(p11, mul(y, p01))))
             elif p10 == neg(1):
-                rows += [prefix + (y, 0, sub(p11, mul(y, p01))) for y in range(q)]
+                rows += [prefix + (y, 0, sub(p11, mul(y, p01))) for y in codes]
         return rows
     # R L = [[0, -1], [1, -a_n]]: R's first row is (l10, -l00), and
     # a_n = -(r10 l01 + r11 l11)
     nl = n // 2
     table = defaultdict(list)
-    for mid, r00, r01, r10, r11 in _prefix_products(spec, n - 1 - nl, range(q)):
+    for mid in itertools.product(codes, repeat=n - 1 - nl):
+        r00, r01, r10, r11 = row_products(spec, mid)[-1]
         table[r00, r01].append((mid, r10, r11))
-    for prefix, l00, l01, l10, l11 in _prefix_products(spec, nl, range(q)):
+    for prefix in itertools.product(codes, repeat=nl):
+        l00, l01, l10, l11 = row_products(spec, prefix)[-1]
         for mid, r10, r11 in table.get((l10, neg(l00)), ()):
             rows.append(prefix + mid + (neg(add(mul(r10, l01), mul(r11, l11))),))
     return rows

@@ -52,6 +52,14 @@ def test_enumerate_naive_strategy(capsys):
     assert code == 0 and out == base
 
 
+def test_enumerate_refuses_fields_whose_codes_have_no_chr(capsys):
+    code, out, err = run(
+        capsys, "--budget", str(10**13), "enumerate", "--field", "1114117", "--width", "1"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "0x10FFFF" in err
+
+
 def test_enumerate_bad_descriptor(capsys):
     code, _, err = run(capsys, "enumerate", "--field", "4", "--width", "2")
     assert code == 1

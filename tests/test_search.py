@@ -33,6 +33,7 @@ from friezes.search import (
 
 from helpers import (
     PRIME_POWERS_LE_9,
+    decode,
     field_by_q,
     full_rows,
     holds_square_tables,
@@ -43,6 +44,12 @@ from helpers import (
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 F4 = FieldSpec(2, 2)
+
+
+def decoded_states(states):
+    """_prefix_products states with their prefixes decoded to code tuples."""
+    prefixes = decode(state[0] for state in states)
+    return [(prefix, *state[1:]) for prefix, state in zip(prefixes, states)]
 
 
 def test_published_counts():
@@ -283,9 +290,9 @@ def test_prefix_products_match_row_products(q):
     for length in range(1, 5):
         prefixes = list(itertools.product(range(q), repeat=length))
         expected = [(t, *row_products(spec, t)[-1]) for t in prefixes]
-        assert _prefix_products(spec, length, range(q)) == expected
+        assert decoded_states(_prefix_products(spec, length, range(q))) == expected
         first = q - 1
-        assert _prefix_products(spec, length, (first,)) == [
+        assert decoded_states(_prefix_products(spec, length, (first,))) == [
             state for state in expected if state[0][0] == first
         ]
 
@@ -301,7 +308,7 @@ def test_prefix_products_without_op_tables(p, k, monkeypatch):
         for a in firsts
         for b in range(spec.q)
     ]
-    assert _prefix_products(spec, 2, firsts) == expected
+    assert decoded_states(_prefix_products(spec, 2, firsts)) == expected
     assert not holds_square_tables(spec)
 
 
@@ -317,8 +324,8 @@ def test_mitm_chunk_on_an_untabled_extension():
     for first in firsts:
         rows = _mitm_chunk(spec, 2, first, table)
         assert rows == _naive_chunk(spec, 4, first)
-        assert all(matrix_criterion(FirstRow(spec, r))[0] for r in rows)
-        found += rows
+        assert all(matrix_criterion(FirstRow(spec, r))[0] for r in decode(rows))
+        found += decode(rows)
     # width-1 rows are (x, 2/x, x, 2/x), one per nonzero first entry, and
     # chunk x keeps the one whose smallest code is x
     halves = [(x, spec.mul_code(2, spec.inv_code(x))) for x in firsts[1:]]
@@ -338,7 +345,7 @@ def test_chunks_agree_on_an_untabled_prime_at_width_2():
     for first in (0, 1, 128, 256):
         rows = _mitm_chunk(spec, 2, first, table)
         assert rows == _naive_chunk(spec, 5, first)
-        assert rows == [row for row in full if row[0] == first == min(row)]
+        assert decode(rows) == [row for row in full if row[0] == first == min(row)]
 
 
 def test_chunk_zero_completes_p00_zero_on_an_untabled_prime():
@@ -348,7 +355,7 @@ def test_chunk_zero_completes_p00_zero_on_an_untabled_prime():
     spec = FieldSpec(257)
     rows = _naive_chunk(spec, 6, 0)
     assert rows == _mitm_chunk(spec, 3, 0, _mitm_table(spec, 2))
-    assert sum(row[4] == 0 for row in rows) == 257**2
+    assert sum(row[4] == 0 for row in decode(rows)) == 257**2
 
 
 @pytest.mark.parametrize("q, w", [(2, 7), (3, 4), (4, 3), (5, 3), (7, 2), (16, 1)])
@@ -359,8 +366,8 @@ def test_chunks_hold_the_min_first_rows(q, w):
     table = _mitm_table(spec, n - 1 - n // 2)
     for first in range(q):
         expected = [row for row in full if row[0] == first == min(row)]
-        assert _naive_chunk(spec, n, first) == expected
-        assert _mitm_chunk(spec, n // 2, first, table) == expected
+        assert decode(_naive_chunk(spec, n, first)) == expected
+        assert decode(_mitm_chunk(spec, n // 2, first, table)) == expected
 
 
 # (field, widths): from GF(2) at w <= 11 to the untabled GF(257), GF(17^2)
@@ -387,15 +394,44 @@ def test_min_first_catalog_matches_the_full_rows(descriptor, widths):
     spec = parse_field_descriptor(descriptor)
     for w in widths:
         for strategy in ("naive", "mitm"):
+            # the search builds the op tables of the untabled fields first,
+            # and the code ops of full_rows read them
+            result = enumerate_friezes(spec, w, strategy)
             rows = full_rows(spec, w, strategy)
             per_tuple = Counter(min(dihedral_orbit_codes(t)) for t in rows)
-            result = enumerate_friezes(spec, w, strategy)
             assert [(rep.codes, size) for rep, size in result.orbits] == sorted(
                 per_tuple.items()
             )
             assert result.total_count == len(rows)
             # the representatives are built without the FirstRow checks
             assert all(FirstRow(spec, rep.codes) == rep for rep, _ in result.orbits)
+
+
+@pytest.mark.parametrize("descriptor, widths", CATALOG_MENU + [("3^2:2,2,1", range(1, 4))])
+def test_json_catalog_is_the_dumped_json_dict(descriptor, widths):
+    # GF(257) and GF(17^2) have codes above 255, so their rows are UCS-2 strs
+    spec = parse_field_descriptor(descriptor)
+    for w in widths:
+        for strategy in ("naive", "mitm"):
+            result = enumerate_friezes(spec, w, strategy)
+            assert catalog_orbits(result, "json") == json.dumps(
+                search.enumeration_to_json_dict(result)
+            )
+
+
+def test_search_refuses_fields_whose_codes_have_no_chr():
+    # chr stops at 0x10FFFF, so q = 0x110000 is the largest searchable field
+    spec = FieldSpec(1114117)
+    chr(search.MAX_CHR_FIELD - 1)
+    with pytest.raises(ValueError):
+        chr(search.MAX_CHR_FIELD)
+    with pytest.raises(BudgetExceeded):
+        enumerate_friezes(spec, 1)
+    # the mitm estimate is 4 q^2 < 10^13, the naive one q + q^2 + q^3 < 10^19
+    for strategy, budget in (("mitm", 10**13), ("naive", 10**19)):
+        with pytest.raises(ValueError, match="0x10FFFF"):
+            enumerate_friezes(spec, 1, strategy, SearchConfig(budget=budget))
+    assert spec._mul is None
 
 
 @pytest.mark.parametrize(
