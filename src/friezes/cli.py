@@ -167,7 +167,7 @@ def cmd_verify(args) -> int:
 def cmd_map(args) -> int:
     spec = parse_field_descriptor(args.field)
     if args.to == "config":
-        if not args.row:
+        if args.row is None:
             raise FriezeError("--to config needs --row")
         row = _parse_row(spec, args.row)
         config = moduli.frieze_to_configuration(row)
@@ -186,7 +186,7 @@ def cmd_map(args) -> int:
             f"configuration: {config}\nround trip: {'ok' if round_trip else 'FAILED'}",
         )
         return EXIT_OK if round_trip else EXIT_MISMATCH
-    if not args.points:
+    if args.points is None:
         raise FriezeError("--to frieze needs --points")
     config = moduli.parse_points(spec, args.points.split(","))
     result = moduli.configuration_to_frieze(config)

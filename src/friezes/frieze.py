@@ -34,7 +34,8 @@ FirstRow._trusted skips the checks, for the search's orbit representatives.  The
 SL2 step P -> M(a) P of one row is row_products, by code ops;
 search._prefix_products is the search's copy, which steps all q children of a
 prefix at once from two FieldSpec.line_codes rows and writes the prefixes as
-strs of chr(code), decoded to code tuples only for orbit representatives.
+strs of chr(code).  The search result keeps its orbit representatives as such
+strs and decodes them to code tuples only when its .orbits are read.
 """
 
 from __future__ import annotations

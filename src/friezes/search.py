@@ -32,8 +32,11 @@ Rows, prefixes and mids are strs, code c written as chr(c) and read from
 one alphabet per q (_alphabet): str order is the lex order of the code
 tuples, a str keeps its hash once computed, and slicing and joining copy
 bytes.  So codes stop at 0x10FFFF and the search refuses q > 0x110000.
-Only orbit representatives are decoded to code tuples, into FirstRows built
-by FirstRow._trusted without re-checking codes the search made in range.
+The result keeps the orbit representatives as these strs, and the catalog
+renders them with str.translate, so a search decodes no row.  Only reading
+EnumerationResult.orbits (or .tuples) decodes the representatives to code
+tuples, once, into FirstRows built by FirstRow._trusted without re-checking
+codes the search made in range.
 
 Both search only min-first rows, whose first code is their smallest: the
 smallest member of a dihedral orbit is one, so they are enough for the
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import DEFAULT_BUDGET, check_budget
@@ -66,22 +69,38 @@ class SearchConfig:
 
 @dataclass
 class EnumerationResult:
+    """A search's dihedral orbit catalog: the orbits' smallest members
+    rep_rows, in lex order, as the search's strs of chr(code), and their
+    orbit sizes.  Equality compares these fields; .orbits and .tuples are
+    decoded from them on first use."""
+
     spec: FieldSpec
     width: int
     total_count: int
-    orbits: list[tuple[FirstRow, int]]
+    rep_rows: list[str] = field(repr=False)
+    sizes: list[int]
+
+    @cached_property
+    def orbits(self) -> list[tuple[FirstRow, int]]:
+        """(representative, orbit size) pairs, the representatives decoded
+        to FirstRows on first use."""
+        spec, trusted = self.spec, FirstRow._trusted
+        return [
+            (trusted(spec, tuple(map(ord, t))), size)
+            for t, size in zip(self.rep_rows, self.sizes)
+        ]
 
     @property
     def orbit_sizes(self) -> list[int]:
-        return sorted(size for _, size in self.orbits)
+        return sorted(self.sizes)
 
     @cached_property
     def tuples(self) -> list[tuple[int, ...]]:
         """Every row, as sorted code tuples: the union of the orbits, built
         on first use."""
         rows = set()
-        for rep, _ in self.orbits:
-            rows |= dihedral_orbit_codes(rep.codes)
+        for t in self.rep_rows:
+            rows |= dihedral_orbit_codes(tuple(map(ord, t)))
         return sorted(rows)
 
 
@@ -150,12 +169,26 @@ def _mitm_table(spec: FieldSpec, nr: int):
     bucket lists (mid, -r10, -r11, min(mid)) with mid the str of
     (a_{nl+1}, ..., a_{n-1}), in lex order of mid.  The signs are those
     _mitm_chunk needs, so it negates nothing; the min tag, a code, lets
-    every chunk share this one table."""
+    every chunk share this one table.
+
+    The q children R = M(x) P of a parent P of length nr - 1 are built
+    together: their second row is P's first, so -r10 = -p00 and -r11 = -p01
+    are the parent's, and -r01 = -(x p01 - p11) is the row
+    line_codes(-p01, -p11).  nr = 1 has the one parent P = Id."""
     q = spec.q
+    alphabet = _alphabet(q)
+    line = spec.line_codes
     neg = spec._op_tables()[3]
+    if nr > 1:
+        parents = _prefix_products(spec, nr - 1, range(q))
+    else:
+        parents = [("", 1, 0, 0, 1)]
     table = defaultdict(list)
-    for mid, r00, r01, r10, r11 in _prefix_products(spec, nr, range(q)):
-        table[r00 * q + neg[r01]].append((mid, neg[r10], neg[r11], ord(min(mid))))
+    for prefix, p00, p01, p10, p11 in parents:
+        s10, s11 = neg[p00], neg[p01]
+        low = ord(min(prefix)) if prefix else q
+        for c, x, r00, m01 in zip(alphabet, range(q), line(p00, p10), line(s11, neg[p11])):
+            table[r00 * q + m01].append((prefix + c, s10, s11, x if x < low else low))
     return dict(table)
 
 
@@ -254,9 +287,7 @@ def enumerate_friezes(
             rows += _mitm_chunk(spec, nl, first, table)
         del table
     unmarked = set(rows)
-    orbits = []
-    total = 0
-    trusted = FirstRow._trusted
+    reps, sizes = [], []
     for t in rows:
         if t not in unmarked:
             continue
@@ -264,9 +295,9 @@ def enumerate_friezes(
         if not images <= unmarked:
             raise AssertionError("solutions not dihedral-closed")
         unmarked -= images
-        orbits.append((trusted(spec, tuple(map(ord, t))), size))
-        total += size
-    return EnumerationResult(spec, width, total, orbits)
+        reps.append(t)
+        sizes.append(size)
+    return EnumerationResult(spec, width, sum(sizes), reps, sizes)
 
 
 @dataclass(frozen=True)
@@ -298,28 +329,30 @@ def verify_count_formula(
 
 def catalog_orbits(result: EnumerationResult, fmt: str = "text") -> str:
     """Orbit catalog sorted by canonical representative, as text or as the
-    JSON of enumeration_to_json_dict.  Both render the codes from one list
-    of q strings per call."""
+    JSON of enumeration_to_json_dict.  Both render the representatives'
+    strs with str.translate from one list of q strings per call, each
+    element's string with its separator after it, which is cut off the
+    end; the list is indexed by the char's code, so every q works."""
     if fmt not in ("text", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     spec = result.spec
     if fmt == "json":
-        strs = list(map(str, range(spec.q)))
+        codes = [f"{c}, " for c in range(spec.q)]
         orbits = ", ".join(
-            f'{{"rep": [{", ".join(map(strs.__getitem__, rep.codes))}], "size": {size}}}'
-            for rep, size in result.orbits
+            f'{{"rep": [{t.translate(codes)[:-2]}], "size": {size}}}'
+            for t, size in zip(result.rep_rows, result.sizes)
         )
         return (
             f'{{"field": {json.dumps(spec.descriptor)}, "width": {result.width}, '
             f'"count": {result.total_count}, "orbits": [{orbits}]}}'
         )
-    strs = [spec.element_str(c) for c in range(spec.q)]
+    strs = [spec.element_str(c) + "," for c in range(spec.q)]
     lines = [
         f"field {spec.descriptor}  width {result.width}  "
-        f"count {result.total_count}  orbits {len(result.orbits)}"
+        f"count {result.total_count}  orbits {len(result.rep_rows)}"
     ]
-    for rep, size in result.orbits:
-        lines.append(f"({','.join(map(strs.__getitem__, rep.codes))})  size {size}")
+    for t, size in zip(result.rep_rows, result.sizes):
+        lines.append(f"({t.translate(strs)[:-1]})  size {size}")
     return "\n".join(lines)
 
 

@@ -1,9 +1,10 @@
 """Shared fixtures-in-spirit for the test suite: the small fields everything
 runs over, the exhaustive field-axiom check reused by the acceptance suite,
 the keyed PGL2 orbit count that checks the library's cross-section walk, the
-full row search that checks the min-first frieze catalog, the per-code text
-catalog that checks its rendering, and the FieldElement lift that checks the
-code-native configuration_to_frieze."""
+full row search that checks the min-first frieze catalog, the flat mitm table
+that checks the per-parent one, the per-code text catalog that checks its
+rendering, and the FieldElement lift that checks the code-native
+configuration_to_frieze."""
 
 import itertools
 from collections import Counter, defaultdict
@@ -13,6 +14,7 @@ from friezes import FieldSpec, FirstRow, FirstRowClass, gf, matrix_criterion
 from friezes.errors import NotLiftable
 from friezes.frieze import row_products
 from friezes.moduli import configuration_index_tuples
+from friezes.search import _prefix_products
 
 PRIME_POWERS_LE_9 = (2, 3, 4, 5, 7, 8, 9)
 
@@ -174,6 +176,19 @@ def full_rows(spec: FieldSpec, width: int, strategy: str) -> list[tuple[int, ...
         for mid, r10, r11 in table.get((l10, neg(l00)), ()):
             rows.append(prefix + mid + (neg(add(mul(r10, l01), mul(r11, l11))),))
     return rows
+
+
+def flat_mitm_table(spec: FieldSpec, nr: int) -> dict:
+    """search._mitm_table built one entry at a time: every middle product of
+    length nr from _prefix_products, keyed by r00 q + (-r01), with the entry
+    (mid, -r10, -r11, min(mid)) negated and tagged on its own.  _mitm_table
+    builds the q children of a parent together from the parent's rows."""
+    q = spec.q
+    neg = spec._op_tables()[3]
+    table = defaultdict(list)
+    for mid, r00, r01, r10, r11 in _prefix_products(spec, nr, range(q)):
+        table[r00 * q + neg[r01]].append((mid, neg[r10], neg[r11], ord(min(mid))))
+    return dict(table)
 
 
 def per_code_catalog_text(result) -> str:

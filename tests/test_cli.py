@@ -311,6 +311,32 @@ def test_map_to_frieze_names_bad_points(capsys, points, message):
     assert message in err
 
 
+POINT_ERR = "error: bad point label '': labels are element codes or inf\n"
+
+
+@pytest.mark.parametrize(
+    "to, flag, value, err",
+    [
+        ("frieze", "--points", "", POINT_ERR),
+        ("frieze", "--points", " ", POINT_ERR),
+        ("frieze", "--points", ",", POINT_ERR),
+        ("config", "--row", "", "error: bad row '': entries are element codes\n"),
+        ("config", "--row", " ", "error: bad row ' ': entries are element codes\n"),
+        ("config", "--row", ",", "error: bad row ',': entries are element codes\n"),
+    ],
+)
+def test_map_names_an_empty_value(capsys, to, flag, value, err):
+    # an empty value is a bad value, not a missing flag
+    assert run(capsys, "map", "--field", "2", "--to", to, flag, value) == (1, "", err)
+
+
+@pytest.mark.parametrize("to, err", [("frieze", "--points"), ("config", "--row")])
+def test_map_names_a_missing_flag(capsys, to, err):
+    assert run(capsys, "map", "--field", "2", "--to", to) == (
+        1, "", f"error: --to {to} needs {err}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "points, err",
     [

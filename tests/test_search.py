@@ -35,6 +35,7 @@ from helpers import (
     PRIME_POWERS_LE_9,
     decode,
     field_by_q,
+    flat_mitm_table,
     full_rows,
     holds_square_tables,
     per_code_catalog_text,
@@ -333,6 +334,30 @@ def test_mitm_chunk_on_an_untabled_extension():
     assert len(found) == 3
 
 
+@pytest.mark.parametrize(
+    "p, k, lengths",
+    [(2, 1, (1, 2, 3)), (5, 1, (1, 2, 3)), (2, 2, (1, 2, 3)), (257, 1, (1, 2)), (17, 2, (1, 2))],
+)
+def test_mitm_table_matches_the_flat_construction(p, k, lengths):
+    # nr = 1 builds from the empty parent, P = Id; GF(257) and GF(17^2) have
+    # codes above 255, and GF(17^2) no op tables until the table asks
+    spec = FieldSpec(p, k)
+    assert holds_square_tables(spec) == (spec.q <= 256)
+    for nr in lengths:
+        table = _mitm_table(spec, nr)
+        assert table == flat_mitm_table(spec, nr)
+        assert sum(map(len, table.values())) == spec.q**nr
+
+
+def test_mitm_table_matches_the_flat_construction_on_raw_rows(monkeypatch):
+    # as if above gf.LAZY_TABLE_LIMIT: _op_tables hands out raw rows
+    without_op_tables(monkeypatch, 256)
+    spec = FieldSpec(17, 2)
+    for nr in (1, 2):
+        assert _mitm_table(spec, nr) == flat_mitm_table(spec, nr)
+    assert not holds_square_tables(spec)
+
+
 def test_chunks_agree_on_an_untabled_prime_at_width_2():
     # on GF(257) each chunk holds the rows of the full search whose first
     # code is their smallest; the full search's first = -1 gives p00 = 0
@@ -432,6 +457,24 @@ def test_search_refuses_fields_whose_codes_have_no_chr():
         with pytest.raises(ValueError, match="0x10FFFF"):
             enumerate_friezes(spec, 1, strategy, SearchConfig(budget=budget))
     assert spec._mul is None
+
+
+@pytest.mark.parametrize("descriptor, width", [("2", 6), ("3^2", 2), ("257", 1), ("17^2", 1)])
+def test_the_catalog_path_decodes_no_representative(descriptor, width):
+    # the representatives stay strs of chr(code) through both catalogs, and
+    # .orbits decodes them only when read
+    spec = parse_field_descriptor(descriptor)
+    for strategy in ("naive", "mitm"):
+        result = enumerate_friezes(spec, width, strategy)
+        catalog_orbits(result, "text")
+        catalog_orbits(result, "json")
+        assert sum(result.orbit_sizes) == result.total_count
+        assert "orbits" not in vars(result) and "tuples" not in vars(result)
+        assert "rep_rows" not in repr(result)
+        assert result.orbits == [
+            (FirstRow(spec, tuple(map(ord, t))), size)
+            for t, size in zip(result.rep_rows, result.sizes)
+        ]
 
 
 @pytest.mark.parametrize(
