@@ -32,7 +32,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-width", type=int, default=6)
     parser.add_argument("--max-n", type=int, default=7)
-    parser.add_argument("--max-partition-n", type=int, default=10)
+    parser.add_argument("--max-partition-n", type=int, default=14)
     args = parser.parse_args()
     worst = 0
     for command in commands(args):

@@ -18,7 +18,8 @@ and built on first visit from one list of tail paths.  A signed walk groups
 each entry's tails by the sign ratio of the edges they close.  The C_n
 stream joins each (prefix, tails) chunk in C, so Python runs once per prefix,
 not per tuple; count_configuration_tuples and count_pgl2_orbits sum the
-chunks' tail counts and build no tuple.
+chunks' tail counts and build no tuple, and count_by_distinct_points ORs
+point bitmasks of each prefix and its tails.
 
 A Configuration stores point indices 0..q and builds ProjPoints only in
 Configuration.points.  Indices and vectors are converted by
@@ -34,11 +35,12 @@ the code serialization of points, with "inf" for (1 : 0).
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
+from operator import add, or_
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -186,16 +188,17 @@ def configuration_index_tuples(
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[tuple[int, ...]]:
     """Stream the point-index tuples of C_n in lexicographic order, optionally
-    restricted to a sign class.  This is the allocation-light path behind the
-    configuration and partition counts; enumerate_configurations wraps it in
+    restricted to a sign class; enumerate_configurations wraps it in
     Configuration objects.  Each prefix is joined to a table of tails keyed
     by its last and first points, so memory stays near |C_n|/q tails.  The
-    joins run in C, ``map(prefix.__add__, tails)`` chained by
+    joins run in C, ``map(add, repeat(prefix), tails)`` chained by
     chain.from_iterable, so Python resumes _walk once per prefix, not once
-    per tuple.  The stream is lazy: bad arguments and the budget are checked
-    on the first next()."""
+    per tuple; operator.add takes vectorcall, so map builds no argument
+    tuple per join as it does for the method-wrapper prefix.__add__.  The
+    stream is lazy: bad arguments and the budget are checked on the first
+    next()."""
     chunks = _walk(spec, n, sign_filter, budget, cross_section=False)
-    return chain.from_iterable(map(prefix.__add__, tails) for prefix, tails in chunks)
+    return chain.from_iterable(map(add, repeat(prefix), tails) for prefix, tails in chunks)
 
 
 def count_configuration_tuples(
@@ -209,6 +212,24 @@ def count_configuration_tuples(
     and the budget are refused as there."""
     chunks = _walk(spec, n, sign_filter, budget, cross_section=False)
     return sum(len(tails) for _, tails in chunks)
+
+
+def count_by_distinct_points(spec: FieldSpec, n: int, budget: int = DEFAULT_BUDGET) -> Counter:
+    """The tuples of C_n counted by their number of distinct points, with no
+    tuple built: each prefix's points as an int bitmask, ORed in C with the
+    masks of its tails.  A tail-table entry's masks are listed once, from
+    one mask per distinct tail path.  Bad arguments and the budget are
+    refused as in configuration_index_tuples."""
+    per_k, entries, path_masks = Counter(), {}, {}
+    for prefix, tails in _walk(spec, n, "all", budget, cross_section=False):
+        entry = entries.get(id(tails))
+        if entry is None:  # the entry holds tails, so an id names one entry
+            for t in set(tails).difference(path_masks):
+                path_masks[t] = sum({1 << v for v in t})
+            entry = entries[id(tails)] = (tails, list(map(path_masks.__getitem__, tails)))
+        pmask = sum({1 << v for v in prefix})
+        per_k.update(map(int.bit_count, map(or_, repeat(pmask), entry[1])))
+    return per_k
 
 
 def _is_orbit_key(tup: tuple[int, ...]) -> bool:
@@ -229,7 +250,8 @@ def _walk(
     distinct from t_{m-1} and the last from t_0, in lex order.  A table entry
     is built on the first visit of its key from one list of tail paths, and
     the chunk hands out that list itself, so no tuple is built and then
-    discarded; the streams join them, the counts only sum their lengths.
+    discarded; the streams join them, the counts only sum their lengths
+    or tally their point masks.
     Prefixes and tail paths grow the same way, one point at a time, as in
     search._prefix_products and partitions._rgs_chunks.
 
@@ -313,7 +335,7 @@ def _walk(
         for i in range(m - 1):
             us.append(mul[us[i]][inverse[i % 2][alternation[i]][alternation[i + 1]]])
         head = tails(alternation[-1], 0).get(us[-1], ())
-        yield (), list(filter(_is_orbit_key, map(alternation.__add__, head)))
+        yield (), list(filter(_is_orbit_key, map(add, repeat(alternation), head)))
         prefixes = []
         for i in range(m - 1, 1, -1):
             u = mul[us[i - 1]][inverse[(i - 1) % 2][alternation[i - 1]][2]]

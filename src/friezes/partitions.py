@@ -1,7 +1,7 @@
 """Partitions of n cyclically ordered points into blocks with no two
-consecutive points together: brute-force enumeration, the alternating-sum
-closed form, and the change of basis into falling factorials that links the
-partition numbers to the configuration counts.
+consecutive points together: enumeration, counts by a walk over states,
+the alternating-sum closed form, and the change of basis into falling
+factorials that links the partition numbers to the configuration counts.
 """
 
 from __future__ import annotations
@@ -11,13 +11,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, compress
+from itertools import compress
 from typing import Iterator, Sequence
 
 from .errors import DEFAULT_BUDGET, NonIntegralResult, check_budget
 from .formulas import count_configurations
 from .gf import FieldSpec
-from .moduli import configuration_index_tuples
+from .moduli import configuration_index_tuples  # unused here; perfbench/spans.py wraps it
+from .moduli import count_by_distinct_points
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,10 @@ class CyclicPartition:
 def _rgs_chunks(
     n: int,
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]], list[int]]]:
-    """The walk behind _rgs_walk, for n >= 2: (prefix, tails, blocks) for every
-    prefix b_0..b_{m-1}, m = max(1, n - 2), in lex order, where blocks[j] is
-    the block count of prefix + tails[j].
+    """The restricted-growth strings of length n >= 2 with b_i != b_{i-1} and
+    b_{n-1} != b_0, in lex order, as (prefix, tails, blocks) for every prefix
+    b_0..b_{m-1}, m = max(1, n - 2), where blocks[j] is the block count of
+    prefix + tails[j].
 
     One step, grow, extends each (string, blocks used, last block) by every
     block allowed at position i, in order.  The prefixes are grow chained
@@ -74,17 +76,6 @@ def _rgs_chunks(
         yield prefix, *entry
 
 
-def _rgs_walk(n: int) -> Iterator[tuple[int, ...]]:
-    """Restricted-growth strings of length n >= 2 with b_i != b_{i-1} and
-    b_{n-1} != b_0, in lexicographic order: each prefix of _rgs_chunks joined
-    to its tails with ``map(prefix.__add__, tails)``, chained in C as in
-    moduli.configuration_index_tuples.  The table's tails are in lex order,
-    so the strings come out in the same order as a lex-ordered product of
-    restricted-growth strings filtered by adjacency."""
-    chunks = _rgs_chunks(n)
-    return chain.from_iterable(map(prefix.__add__, tails) for prefix, tails, _ in chunks)
-
-
 def enumerate_cyclic_partitions(n: int, k: int) -> Iterator[CyclicPartition]:
     """Every valid partition of the n-cycle into exactly k blocks, once each,
     in the lex order of their restricted-growth strings."""
@@ -106,12 +97,17 @@ def count_cyclic_partitions(n: int, k: int) -> int:
 
 def cyclic_partition_counts(n: int, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Counts for every block count at once: entry k is the number of valid
-    partitions of the n-cycle into k blocks (one walk, no per-k reruns).
-    The walk counts the prefixes that read each tail-table entry; each
-    entry's block counts are tallied once and weighted by that number, so
-    no string is built and no string's block count is tallied on its own.
-    Raises BudgetExceeded before walking if the walk would yield more than
-    budget strings, sum_k A_{k,n} by the closed form.  A_{3,n} =
+    partitions of the n-cycle into k blocks, read off their restricted-growth
+    strings b_0 = 0, b_i <= max(b_<i) + 1, b_i != b_{i-1}, b_{n-1} != 0.  The
+    completions of a prefix depend only on (u, z): the blocks it uses and
+    whether its last entry is 0.  So the walk counts the prefixes in each
+    state, position by position, in O(n^2) steps, and builds no string: a
+    prefix in (u, z) goes on to (u + 1, False) by a new block, to (u, True)
+    by 0 unless z or at the last position, and to (u, False) by each of the
+    u - 1 - [not z] other nonzero blocks (Stanley, Enumerative Combinatorics
+    I, 4.7, the transfer-matrix method).
+    Raises BudgetExceeded before walking if the walk would stand for more
+    than budget strings, sum_k A_{k,n} by the closed form.  A_{3,n} =
     (2^n + 2(-1)^n)/6 >= 2^(n-3) for n >= 3, so when n - 3 >
     budget.bit_length() it is charged as the pair (2, n - 3): check_budget
     refuses that without building 2^n, as it would refuse the exact term."""
@@ -122,14 +118,20 @@ def cyclic_partition_counts(n: int, budget: int = DEFAULT_BUDGET) -> list[int]:
         (2, n - 3) if huge and k == 3 else a_kn_closed_form(k, n) for k in range(2, n + 1)
     )
     check_budget(strings, budget, "cyclic partition strings")
-    entries, readers = {}, Counter()
-    for _, _, blocks in _rgs_chunks(n):
-        entries[id(blocks)] = blocks  # held, so an id names one entry
-        readers[id(blocks)] += 1
+    states = {(1, True): 1}
+    for i in range(1, n):
+        step = Counter()
+        for (u, z), c in states.items():
+            step[u + 1, False] += c
+            if not z and i < n - 1:
+                step[u, True] += c
+            others = u - 1 - (not z)  # nonzero blocks but the last entry's
+            if others:
+                step[u, False] += c * others
+        states = step
     tally = [0] * (n + 1)
-    for key, blocks in entries.items():
-        for k, strings in Counter(blocks).items():
-            tally[k] += readers[key] * strings
+    for (u, _), c in states.items():
+        tally[u] += c
     return tally
 
 
@@ -208,15 +210,15 @@ def verify_partition_identity(
 ) -> PartitionIdentityReport:
     """Check c_n = q(q+1) sum_k A_{k,n} prod (q-j) at q = |F_q|, and cross-check
     by classifying every configuration by its point-equality pattern: the
-    configurations whose pattern has k blocks must number A_{k,n} times the
-    number of ordered choices of k distinct points of P^1."""
+    configurations whose pattern has k blocks, that is k distinct points
+    (moduli.count_by_distinct_points), must number A_{k,n} times the number
+    of ordered choices of k distinct points of P^1."""
     q = spec.q
     counts = cyclic_partition_counts(n, budget)
     rhs = partition_identity_rhs(q, n, counts)
     lhs = count_configurations(q, n)
 
-    # the point-equality pattern of a tuple has len(set(tup)) blocks
-    per_k = Counter(map(len, map(set, configuration_index_tuples(spec, n, "all", budget))))
+    per_k = count_by_distinct_points(spec, n, budget)
     per_block_ok = True
     for k in range(1, n + 1):
         ordered_choices = math.perm(q + 1, k)

@@ -3,17 +3,21 @@ runs over, the exhaustive field-axiom check reused by the acceptance suite,
 the keyed PGL2 orbit count that checks the library's cross-section walk, the
 full row search that checks the min-first frieze catalog, the flat mitm table
 that checks the per-parent one, the per-code text catalog that checks its
-rendering, and the FieldElement lift that checks the code-native
-configuration_to_frieze."""
+rendering, the FieldElement lift that checks the code-native
+configuration_to_frieze, the restricted-growth string walk that checks the
+cyclic-partition counts, and the per-tuple point count that checks the
+per-block tally."""
 
 import itertools
 from collections import Counter, defaultdict
 from functools import cache
+from operator import add
 
 from friezes import FieldSpec, FirstRow, FirstRowClass, gf, matrix_criterion
 from friezes.errors import NotLiftable
 from friezes.frieze import row_products
 from friezes.moduli import configuration_index_tuples
+from friezes.partitions import _rgs_chunks
 from friezes.search import _prefix_products
 
 PRIME_POWERS_LE_9 = (2, 3, 4, 5, 7, 8, 9)
@@ -250,3 +254,21 @@ def element_configuration_to_frieze(spec: FieldSpec, tup: tuple[int, ...]):
     row = FirstRow(spec, tuple(codes))
     assert matrix_criterion(row)[0]
     return row if n % 2 else FirstRowClass.of(row)
+
+
+def rgs_walk(n: int):
+    """Restricted-growth strings of length n >= 2 with b_i != b_{i-1} and
+    b_{n-1} != b_0, in lexicographic order: each prefix of
+    partitions._rgs_chunks joined to its tails.  cyclic_partition_counts
+    counts the same strings by state without building them."""
+    chunks = _rgs_chunks(n)
+    return itertools.chain.from_iterable(
+        map(add, itertools.repeat(prefix), tails) for prefix, tails, _ in chunks
+    )
+
+
+def distinct_point_counts(spec: FieldSpec, n: int, budget: int) -> Counter:
+    """The tuples of C_n counted by their number of distinct points, one set
+    per streamed tuple; moduli.count_by_distinct_points ORs point bitmasks
+    from the walk's chunks instead."""
+    return Counter(map(len, map(set, configuration_index_tuples(spec, n, "all", budget))))

@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friezes import FieldSpec, partitions
+from friezes import FieldSpec, moduli, partitions
 from friezes.errors import BudgetExceeded
 from friezes.formulas import count_configurations
 from friezes.partitions import (
     CyclicPartition,
-    _rgs_walk,
     a_kn_closed_form,
     count_cyclic_partitions,
     cyclic_partition_counts,
@@ -24,6 +23,8 @@ from friezes.partitions import (
     partition_identity_rhs,
     verify_partition_identity,
 )
+
+from helpers import distinct_point_counts, field_by_q, rgs_walk
 
 # Reference triangle A_{k,n} for n <= 6, from the worked examples in the
 # source material (n <= 5) and from hand enumeration of the n = 6 row
@@ -120,7 +121,7 @@ def _partition_of(n, t):
 def test_walk_matches_filtered_product():
     for n in range(2, 11):
         strings = _cyclic_rgs_brute_force(n)
-        assert list(_rgs_walk(n)) == strings
+        assert list(rgs_walk(n)) == strings
         for k in range(1, n + 1):
             expected = [_partition_of(n, t) for t in strings if len(set(t)) == k]
             assert list(enumerate_cyclic_partitions(n, k)) == expected
@@ -140,15 +141,22 @@ def test_walk_counts_for_eleven_and_twelve_points():
 
 
 def test_weighted_tally_equals_the_per_string_tally():
-    # cyclic_partition_counts weights each tail-table entry by the prefixes
-    # that read it; the oracle reads the block count off every string
-    tally = Counter(max(s) + 1 for s in _rgs_walk(11))
+    # cyclic_partition_counts counts prefixes by state; the oracle reads the
+    # block count off every string of the walk
+    tally = Counter(max(s) + 1 for s in rgs_walk(11))
     assert cyclic_partition_counts(11) == [tally[k] for k in range(12)]
 
 
+def test_counts_match_the_closed_form_far_beyond_enumeration():
+    # sum_k A(k, 80) is more than 10^85 strings; the walk over states builds none
+    for n in range(2, 81):
+        counts = cyclic_partition_counts(n, budget=10**100)
+        assert counts[:2] == [0, 0]
+        assert counts[2:] == [a_kn_closed_form(k, n) for k in range(2, n + 1)], n
+
+
 def test_walk_memory_stays_small():
-    # the prefix levels are chained lazily and the table holds 2-point tails;
-    # a walk that keeps the level before last as a list traces about 0.45 MB
+    # the walk holds one count per (blocks used, last entry is 0) state
     tracemalloc.start()
     try:
         counts = cyclic_partition_counts(12)
@@ -195,16 +203,15 @@ def test_huge_n_is_refused_without_building_2_to_the_n():
 
 def test_budget_refuses_exactly_when_the_closed_form_sum_exceeds_it():
     # A(3, n) is charged as 2^(n-3) only when that is above the budget
-    # already; the walk is stubbed out, so an accepted n = 40 returns at once
+    # already; an accepted n = 40 runs the walk over states, which is quick
     for n in range(2, 41):
         total = sum(a_kn_closed_form(k, n) for k in range(2, n + 1))
         for budget in (0, 1, 2 ** max(0, n - 5), total - 1, total, total + 1):
-            with mock.patch.object(partitions, "_rgs_chunks", return_value=()):
-                try:
-                    cyclic_partition_counts(n, budget)
-                    refused = False
-                except BudgetExceeded:
-                    refused = True
+            try:
+                cyclic_partition_counts(n, budget)
+                refused = False
+            except BudgetExceeded:
+                refused = True
             assert refused == (total > budget), (n, budget)
 
 
@@ -265,6 +272,27 @@ def test_verify_partition_identity_exhaustive_small_fields():
         assert report.ok
         assert report.per_block_ok
         assert report.configurations == report.identity_rhs
+
+
+@pytest.mark.parametrize("q, max_n", [(2, 12), (3, 8), (4, 6), (5, 6), (7, 5)])
+def test_per_block_tally_matches_the_per_tuple_count(q, max_n):
+    spec = field_by_q(q)
+    for n in range(2, max_n + 1):
+        assert moduli.count_by_distinct_points(spec, n, 10**9) == distinct_point_counts(
+            spec, n, 10**9
+        ), n
+
+
+def test_identity_reports_a_wrong_partition_row():
+    # A(2, 4) = 1 and A(3, 4) = 2 swapped: at q = 2, k = 2 and k = 3 are
+    # both weighted by 6 = q(q + 1) = q(q + 1)(q - 1), so the sides of the
+    # identity still agree and only the per-block check can see the wrong row
+    wrong = [0, 0, 2, 1, 1]
+    with mock.patch.object(partitions, "cyclic_partition_counts", return_value=wrong):
+        report = verify_partition_identity(FieldSpec(2), 4)
+    assert report.configurations == report.identity_rhs == 18
+    assert not report.per_block_ok
+    assert not report.ok
 
 
 def test_input_validation():
