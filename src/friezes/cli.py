@@ -224,11 +224,10 @@ def cmd_print(args) -> int:
 
 
 def cmd_partitions(args) -> int:
-    rows = []
-    for n in range(2, args.max_n + 1):
-        rows.append(
-            {"n": n, "counts": [partitions.a_kn_closed_form(k, n) for k in range(2, n + 1)]}
-        )
+    rows = [
+        {"n": n, "counts": counts[2:]}
+        for n, counts in enumerate(partitions.cyclic_partition_rows(args.max_n), start=2)
+    ]
     lines = ["n \\ k: 2.." + str(args.max_n)]
     for r in rows:
         lines.append(f"{r['n']:2d}  " + " ".join(str(c) for c in r["counts"]))
@@ -270,7 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate all tame friezes of a width")
     p.add_argument("--field", required=True)
     p.add_argument("--width", type=int, required=True)
-    p.add_argument("--strategy", choices=("naive", "mitm"), default="mitm")
+    p.add_argument(
+        "--strategy",
+        choices=("naive", "mitm"),
+        default="mitm",
+        help="search strategy, charged its own work estimate (default: mitm); "
+        "mitm solves a middle of <= 2 entries in closed form, so both run "
+        "the same search at width <= 3",
+    )
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("count", help="closed-form count tables")

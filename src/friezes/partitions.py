@@ -7,11 +7,11 @@ factorials that links the partition numbers to the configuration counts.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
+from operator import add
 from typing import Iterator, Sequence
 
 from .errors import DEFAULT_BUDGET, NonIntegralResult, check_budget
@@ -101,11 +101,9 @@ def cyclic_partition_counts(n: int, budget: int = DEFAULT_BUDGET) -> list[int]:
     strings b_0 = 0, b_i <= max(b_<i) + 1, b_i != b_{i-1}, b_{n-1} != 0.  The
     completions of a prefix depend only on (u, z): the blocks it uses and
     whether its last entry is 0.  So the walk counts the prefixes in each
-    state, position by position, in O(n^2) steps, and builds no string: a
-    prefix in (u, z) goes on to (u + 1, False) by a new block, to (u, True)
-    by 0 unless z or at the last position, and to (u, False) by each of the
-    u - 1 - [not z] other nonzero blocks (Stanley, Enumerative Combinatorics
-    I, 4.7, the transfer-matrix method).
+    state, position by position (_step), in O(n^2) steps, and builds no
+    string; after the last position no prefix ends in 0 (Stanley,
+    Enumerative Combinatorics I, 4.7, the transfer-matrix method).
     Raises BudgetExceeded before walking if the walk would stand for more
     than budget strings, sum_k A_{k,n} by the closed form.  A_{3,n} =
     (2^n + 2(-1)^n)/6 >= 2^(n-3) for n >= 3, so when n - 3 >
@@ -118,21 +116,35 @@ def cyclic_partition_counts(n: int, budget: int = DEFAULT_BUDGET) -> list[int]:
         (2, n - 3) if huge and k == 3 else a_kn_closed_form(k, n) for k in range(2, n + 1)
     )
     check_budget(strings, budget, "cyclic partition strings")
-    states = {(1, True): 1}
+    zero, other = [0, 1], [0, 0]
     for i in range(1, n):
-        step = Counter()
-        for (u, z), c in states.items():
-            step[u + 1, False] += c
-            if not z and i < n - 1:
-                step[u, True] += c
-            others = u - 1 - (not z)  # nonzero blocks but the last entry's
-            if others:
-                step[u, False] += c * others
-        states = step
-    tally = [0] * (n + 1)
-    for (u, _), c in states.items():
-        tally[u] += c
-    return tally
+        zero, other = _step(zero, other, i == n - 1)
+    return other
+
+
+def cyclic_partition_rows(max_n: int) -> Iterator[list[int]]:
+    """cyclic_partition_counts(n) for n = 2..max_n, in order, from one pass
+    of its walk: every row shares the states after its first inner
+    positions, so one pass advances them an inner position at a time and
+    takes each row's last-position step from them.  Two steps a row,
+    O(max_n^2) work in all.  No budget check."""
+    zero, other = [0, 1], [0, 0]
+    for _ in range(2, max_n + 1):
+        yield _step(zero, other, True)[1]
+        zero, other = _step(zero, other, False)
+
+
+def _step(zero: list[int], other: list[int], last: bool) -> tuple[list[int], list[int]]:
+    """One position of the state walk, on zero[u] and other[u], the numbers
+    of prefixes using u blocks whose last entry is 0 and is not: a prefix
+    goes on to other[u + 1] by a new block, to zero[u] by 0 unless its last
+    entry is 0 or the position is the last, and to other[u] by each nonzero
+    block but its last entry's, u - 1 of them after a 0 and u - 2 otherwise
+    (other[1] is 0, as one block is block 0)."""
+    grown = [0, *map(add, zero, other)]
+    stay = [z * (u - 1) + o * (u - 2) for u, (z, o) in enumerate(zip(zero, other))]
+    stay.append(0)
+    return [0] * len(grown) if last else [*other, 0], list(map(add, grown, stay))
 
 
 def a_kn_closed_form(k: int, n: int) -> int:

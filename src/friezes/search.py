@@ -18,6 +18,12 @@ entries of a row follow from the others.  Two strategies:
          q^nl left leaves plus the q^nr table.  Buckets are keyed by the int
          r00 q + (-r01) and hold (mid, -r10, -r11), so a leaf looks up
          l10 q + l00 and a_n = (-r10) l01 + (-r11) l11 needs no negation.
+         A middle of nr <= 2 entries needs no table: M(a) M(b) =
+         [[ab - 1, -a], [b, -1]] gives a and b back from its first row,
+         which is the naive completion's solve.  So at width <= 3
+         (n <= 6) mitm runs the naive chunks, and both strategies run the
+         same code; the budget still charges the requested strategy, whose
+         estimate is above the ~q^(n-3) work done there.
 
 Both walk prefixes with _prefix_products, the search's copy of the SL2 step
 (frieze.row_products is the single-row one).  It steps all q children of a
@@ -277,7 +283,10 @@ def enumerate_friezes(
             f"= 0x110000, the limit of codes written as chars (chr stops at 0x10FFFF)"
         )
     rows = []
-    if strategy == "naive":
+    # up to n = 6 the mitm middle has n - 1 - n // 2 <= 2 entries: it is
+    # solved, not tabulated, by _naive_chunk's completion, whose ~q^(n-3)
+    # work stays below the mitm charge
+    if strategy == "naive" or n <= 6:
         for first in range(spec.q):
             rows += _naive_chunk(spec, n, first)
     else:

@@ -85,6 +85,18 @@ def test_enumerate_budget_exceeded(capsys):
         assert "budget 100000000" in err and len(err) < 200
 
 
+def test_a_mitm_request_keeps_the_mitm_charge(capsys):
+    # width 3 runs the naive chunks under either strategy, but each request
+    # is charged its own strategy's estimate: 4 * 7^3 = 1372 for mitm
+    _, base, _ = run(capsys, "enumerate", "--field", "7", "--width", "3")
+    argv = ("--budget", "2000", "enumerate", "--field", "7", "--width", "3")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, base)
+    code, out, err = run(capsys, *argv, "--strategy", "naive")
+    assert (code, out) == (2, "")
+    assert "budget 2000" in err
+
+
 def test_verify_partitions_honours_the_budget(capsys):
     # the walk at n = 9 would yield 3425 strings; it is refused before it runs
     code, out, err = run(

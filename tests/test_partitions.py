@@ -18,6 +18,7 @@ from friezes.partitions import (
     a_kn_closed_form,
     count_cyclic_partitions,
     cyclic_partition_counts,
+    cyclic_partition_rows,
     enumerate_cyclic_partitions,
     falling_factorial_expand,
     partition_identity_rhs,
@@ -148,11 +149,16 @@ def test_weighted_tally_equals_the_per_string_tally():
 
 
 def test_counts_match_the_closed_form_far_beyond_enumeration():
-    # sum_k A(k, 80) is more than 10^85 strings; the walk over states builds none
+    # sum_k A(k, 80) is more than 10^85 strings; the walk over states builds
+    # none, and the triangle's one pass gives the same rows
+    rows = list(cyclic_partition_rows(80))
+    assert len(rows) == 79
     for n in range(2, 81):
         counts = cyclic_partition_counts(n, budget=10**100)
         assert counts[:2] == [0, 0]
         assert counts[2:] == [a_kn_closed_form(k, n) for k in range(2, n + 1)], n
+        assert rows[n - 2] == counts
+    assert list(cyclic_partition_rows(2)) == [[0, 0, 1]]
 
 
 def test_walk_memory_stays_small():

@@ -115,15 +115,56 @@ def test_strategies_match_brute_force(q):
 
 
 def test_strategies_agree_without_op_tables(monkeypatch):
-    # GF(257) as if above gf.LAZY_TABLE_LIMIT: both searches read raw rows
+    # GF(257) as if above gf.LAZY_TABLE_LIMIT: both chunks read raw rows.  A
+    # width-1 mitm search runs the naive chunks, so the mitm chunk and table
+    # are compared with them directly, chunk by chunk
     without_op_tables(monkeypatch, 256)
     spec = FieldSpec(257)
-    naive = enumerate_friezes(spec, 1, "naive")
-    mitm = enumerate_friezes(spec, 1, "mitm")
+    table = _mitm_table(spec, 1)
+    for first in range(spec.q):
+        assert _mitm_chunk(spec, 2, first, table) == _naive_chunk(spec, 4, first)
     assert not holds_square_tables(spec)
-    assert naive.tuples == mitm.tuples
-    assert naive.orbits == mitm.orbits
-    assert naive.total_count == count_friezes(257, False, 1)
+    assert enumerate_friezes(spec, 1).total_count == count_friezes(257, False, 1)
+
+
+def test_mitm_tabulates_only_a_middle_of_three_or_more(monkeypatch):
+    # mitm solves a middle of nr = n - 1 - n // 2 <= 2 entries (width <= 3)
+    # in closed form, with the naive chunks; from width 4 (nr = 3) it builds
+    # its one table
+    original = search._mitm_table
+    calls = []
+
+    def counted(spec, nr):
+        calls.append(nr)
+        return original(spec, nr)
+
+    monkeypatch.setattr(search, "_mitm_table", counted)
+    config = SearchConfig(budget=10**10)  # naive on GF(257) w2 is charged 4.4e9
+    cases = [(q, w) for q in (2, 5) for w in range(1, 5)] + [(257, 1), (257, 2)]
+    for q, w in cases:
+        spec = FieldSpec(q)
+        calls.clear()
+        mitm = enumerate_friezes(spec, w, "mitm", config)
+        assert calls == ([3] if w == 4 else []), (q, w)
+        assert mitm == enumerate_friezes(spec, w, "naive", config)
+        assert mitm.tuples == full_rows(spec, w, "naive")
+    # GF(257) at width 3 would walk about q^3 / 3 prefixes: with its chunks
+    # stubbed out the split is still seen
+    monkeypatch.setattr(search, "_naive_chunk", lambda spec, n, first: [])
+    calls.clear()
+    assert enumerate_friezes(FieldSpec(257), 3, "mitm").total_count == 0
+    assert calls == []
+
+
+def test_a_mitm_request_keeps_the_mitm_charge():
+    # at width 3 mitm runs the naive chunks but is still charged its own
+    # estimate, 4 q^3 = 1372 here, not the naive q + q^2 + ... + q^5
+    spec = FieldSpec(7)
+    config = SearchConfig(budget=2000)
+    result = enumerate_friezes(spec, 3, "mitm", config)
+    assert result.total_count == count_friezes(7, False, 3)
+    with pytest.raises(BudgetExceeded):
+        enumerate_friezes(spec, 3, "naive", config)
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_LE_9)
@@ -502,7 +543,8 @@ def test_catalog_text_matches_the_per_code_rendering(descriptor, widths):
 def test_a_missing_min_first_row_breaks_dihedral_closure(monkeypatch, strategy, chunk, pick):
     # drop the first (an orbit's smallest member) or the last row of a chunk
     # whose orbit has another min-first image: the walk meets that image
-    # and misses the dropped row
+    # and misses the dropped row.  mitm runs its own chunks from width 4
+    width = 4 if strategy == "mitm" else 3
     original = getattr(search, chunk)
     dropped = []
 
@@ -516,5 +558,5 @@ def test_a_missing_min_first_row_breaks_dihedral_closure(monkeypatch, strategy, 
 
     monkeypatch.setattr(search, chunk, drop_one)
     with pytest.raises(AssertionError, match="not dihedral-closed"):
-        enumerate_friezes(F3, 3, strategy)
+        enumerate_friezes(F3, width, strategy)
     assert len(dropped) == 1
