@@ -18,7 +18,6 @@ from .errors import (
     OddN,
     OddNWithSignFilter,
     ReducibleModulus,
-    SingularMatrix,
 )
 from .frieze import (
     FirstRow,
@@ -37,9 +36,7 @@ from .gf import (
     FieldSpec,
     Mat2,
     ProjPoint,
-    p1_points,
     parse_field_descriptor,
-    pgl2_elements,
 )
 from .moduli import (
     Configuration,

@@ -13,10 +13,6 @@ class ReducibleModulus(FriezeError):
     """Supplied extension modulus factors over the prime field."""
 
 
-class SingularMatrix(FriezeError):
-    """Attempt to invert a 2x2 matrix with determinant zero."""
-
-
 class InvalidWidth(FriezeError):
     """Frieze width outside the supported range (w >= 1)."""
 

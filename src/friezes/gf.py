@@ -1,15 +1,15 @@
 """Exact arithmetic in small finite fields GF(p^k), the projective line over
-them, and 2x2 matrices.
+them, and the 2x2 matrix that witnesses a failed frieze criterion.
 
 Elements are identified by integer codes 0..q-1: the coefficient vector of
 the element (constant term first) read as a base-p integer.  Code 0 is zero
 and code 1 is one, so the code order is a stable element enumeration that
 doubles as the serialization format.  Points of P^1 are indexed 0..q: index
 i < q is (i : 1) and q is (1 : 0).  FieldSpec.point_vector and point_index
-are the one place that convention is written; ProjPoint, Mat2.act and the
-PGL2 point permutations read them.  FieldSpec._op_tables is the one
-builder of op tables, all from the powers of a primitive element, not from
-q^2 polynomial products: q x q lists at construction up to TABLE_LIMIT and
+are the one place that convention is written; ProjPoint and the PGL2 point
+permutations read them.  FieldSpec._op_tables is the one builder of op
+tables, all from the powers of a primitive element, not from q^2
+polynomial products: q x q lists at construction up to TABLE_LIMIT and
 on first use by the search or the signed C_n walk up to LAZY_TABLE_LIMIT,
 and O(q) rows computed per read above it.  The code ops read those tables
 at every size once they exist and reduce polynomials on the fly before;
@@ -22,12 +22,7 @@ import functools
 import itertools
 from typing import Iterable, Sequence
 
-from .errors import (
-    DescriptorError,
-    NonPrimeCharacteristic,
-    ReducibleModulus,
-    SingularMatrix,
-)
+from .errors import DescriptorError, NonPrimeCharacteristic, ReducibleModulus
 
 TABLE_LIMIT = 256
 # The largest field whose q x q op tables are built on first use: their
@@ -69,14 +64,38 @@ def _poly_rem(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
     return rem
 
 
+def _poly_mulmod(a: Sequence[int], b: Sequence[int], m: Sequence[int], p: int) -> list[int]:
+    """The product a b modulo the monic polynomial m, coefficients over F_p."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _poly_rem([c % p for c in prod], m, p)
+
+
 def _is_irreducible(m: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg(m)//2."""
-    deg = len(m) - 1
-    for d in range(1, deg // 2 + 1):
-        for low in itertools.product(range(p), repeat=d):
-            divisor = list(low) + [1]
-            if not any(_poly_rem(m, divisor, p)):
-                return False
+    """Ben-Or's test: the monic m of degree k is irreducible over F_p iff
+    gcd(m, x^(p^i) - x) = 1 for every i <= k // 2, since x^(p^i) - x is the
+    product of the monic irreducibles whose degree divides i.  h = x^(p^i)
+    mod m is raised to the p-th power by repeated squaring, so the test
+    takes O(k^3 log p) steps, not the p^(k/2) divisors of trial division."""
+    k = len(m) - 1
+    h = [0, 1]
+    for _ in range(k // 2):
+        base, e, h = h, p, [1]
+        while e:
+            if e & 1:
+                h = _poly_mulmod(h, base, m, p)
+            base, e = _poly_mulmod(base, base, m, p), e >> 1
+        a, b = list(m), [(c - (i == 1)) % p for i, c in enumerate(h)]
+        while any(b):  # Euclid, each remainder made monic
+            while not b[-1]:
+                b.pop()
+            inv = pow(b[-1], -1, p)
+            a, b = b, _poly_rem(a, [c * inv % p for c in b], p)
+        if len(a) > 1:
+            return False
     return True
 
 
@@ -134,7 +153,6 @@ class FieldSpec:
         "_mul",
         "_neg",
         "_inv",
-        "_pgl2",
         "_p1_perms",
     )
 
@@ -169,7 +187,6 @@ class FieldSpec:
 
         self._digit_cache = None
         self._add = self._sub = self._mul = self._neg = self._inv = None
-        self._pgl2 = None
         self._p1_perms = None
         if self.q <= TABLE_LIMIT:
             self._op_tables()
@@ -223,13 +240,9 @@ class FieldSpec:
     def _mul_raw(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        return self._fold(_poly_rem(prod, self.modulus, self.p))
+        return self._fold(
+            _poly_mulmod(self._digits(a), self._digits(b), self.modulus, self.p)
+        )
 
     def _op_tables(self) -> tuple:
         """(add, sub, mul, neg, inv), read as add[a][b] = a + b and so on,
@@ -528,23 +541,11 @@ class ProjPoint:
         return f"ProjPoint({self})"
 
 
-def p1_points(spec: FieldSpec) -> list[ProjPoint]:
-    """The q + 1 points of P^1(F_q) in index order: (a : 1) in element order,
-    then (1 : 0)."""
-    return [ProjPoint.from_index(spec, i) for i in range(spec.q + 1)]
-
-
 class Mat2:
-    """A 2x2 matrix over a FieldSpec, row-major entries a, b, c, d."""
+    """A 2x2 matrix over a FieldSpec, row-major entry codes a, b, c, d: the
+    product that matrix_criterion hands back as a witness."""
 
     __slots__ = ("spec", "a", "b", "c", "d")
-
-    def __init__(self, a: FieldElement, b: FieldElement, c: FieldElement, d: FieldElement):
-        spec = a.spec
-        if not (b.spec == spec and c.spec == spec and d.spec == spec):
-            raise ValueError("entries from different fields")
-        self.spec = spec
-        self.a, self.b, self.c, self.d = a.code, b.code, c.code, d.code
 
     @classmethod
     def from_codes(cls, spec: FieldSpec, codes: Sequence[int]) -> "Mat2":
@@ -552,10 +553,6 @@ class Mat2:
         m.spec = spec
         m.a, m.b, m.c, m.d = codes
         return m
-
-    @classmethod
-    def identity(cls, spec: FieldSpec) -> "Mat2":
-        return cls.from_codes(spec, (1, 0, 0, 1))
 
     @property
     def codes(self) -> tuple[int, int, int, int]:
@@ -566,53 +563,6 @@ class Mat2:
         return FieldElement(
             s, s.sub_code(s.mul_code(self.a, self.d), s.mul_code(self.b, self.c))
         )
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        if other.spec != self.spec:
-            raise ValueError("matrices over different fields")
-        s = self.spec
-        mul, add = s.mul_code, s.add_code
-        return Mat2.from_codes(
-            s,
-            (
-                add(mul(self.a, other.a), mul(self.b, other.c)),
-                add(mul(self.a, other.b), mul(self.b, other.d)),
-                add(mul(self.c, other.a), mul(self.d, other.c)),
-                add(mul(self.c, other.b), mul(self.d, other.d)),
-            ),
-        )
-
-    def inverse(self) -> "Mat2":
-        s = self.spec
-        det = self.det().code
-        if det == 0:
-            raise SingularMatrix(f"matrix {self.codes} has determinant 0")
-        di = s.inv_code(det)
-        mul, neg = s.mul_code, s.neg_code
-        return Mat2.from_codes(
-            s,
-            (
-                mul(di, self.d),
-                mul(di, neg(self.b)),
-                mul(di, neg(self.c)),
-                mul(di, self.a),
-            ),
-        )
-
-    def act(self, pt: ProjPoint) -> ProjPoint:
-        """Fractional-linear action on P^1: (x : y) -> (ax + by : cx + dy)."""
-        if pt.spec != self.spec:
-            raise ValueError("point over a different field")
-        s = self.spec
-        mul, add = s.mul_code, s.add_code
-        x, y = s.point_vector(pt.index)
-        nx = add(mul(self.a, x), mul(self.b, y))
-        ny = add(mul(self.c, x), mul(self.d, y))
-        if nx == ny == 0:
-            raise SingularMatrix(f"matrix {self.codes} kills a projective point")
-        return ProjPoint.from_index(s, s.point_index(nx, ny))
 
     def __eq__(self, other):
         if not isinstance(other, Mat2):
@@ -627,48 +577,21 @@ class Mat2:
         return f"Mat2[[{e[0]}, {e[1]}], [{e[2]}, {e[3]}]]"
 
 
-def pgl2_elements(spec: FieldSpec) -> tuple[Mat2, ...]:
-    """One invertible matrix per scalar class, q^3 - q in total.
-
-    The representative of each class is scaled so its first nonzero entry
-    (scanning a, b, c, d) is 1.  Generated in a deterministic order.
-    """
-    if spec._pgl2 is not None:
-        return spec._pgl2
-    q = spec.q
-    mul = spec.mul_code
-    reps = []
-    # a = 1: det = d - bc != 0
-    for b in range(q):
-        for c in range(q):
-            bc = mul(b, c)
-            for d in range(q):
-                if d != bc:
-                    reps.append(Mat2.from_codes(spec, (1, b, c, d)))
-    # a = 0, b = 1: det = -c != 0
-    for c in range(1, q):
-        for d in range(q):
-            reps.append(Mat2.from_codes(spec, (0, 1, c, d)))
-    assert len(reps) == q**3 - q
-    spec._pgl2 = tuple(reps)
-    return spec._pgl2
-
-
 def pgl2_point_permutations(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
-    """For each PGL2 representative, its action on P^1 as a permutation of
-    point indices (aligned with the order of pgl2_elements): the O(q^4)
-    group-scan oracle of the tests, which the orbit keys no longer use."""
-    if spec._p1_perms is not None:
-        return spec._p1_perms
-    mul, add, index = spec.mul_code, spec.add_code, spec.point_index
-    vectors = [spec.point_vector(i) for i in range(spec.q + 1)]
-    perms = []
-    for m in pgl2_elements(spec):
-        a, b, c, d = m.codes
-        perms.append(tuple([
-            index(add(mul(a, x), mul(b, y)), add(mul(c, x), mul(d, y))) for x, y in vectors
-        ]))
-    spec._p1_perms = tuple(perms)
+    """The action on P^1 of PGL2(F_q), as q^3 - q permutations of point
+    indices: one per invertible (a, b, c, d) scaled so that its first
+    nonzero entry is 1, first a = 1 (d != bc), then a = 0, b = 1 (c != 0),
+    each in lex order.  The O(q^4) group-scan oracle of the tests, which the
+    orbit keys no longer use."""
+    if spec._p1_perms is None:
+        q, mul, add, index = spec.q, spec.mul_code, spec.add_code, spec.point_index
+        vectors = [spec.point_vector(i) for i in range(q + 1)]
+        reps = [(1, b, c, d) for b in range(q) for c in range(q) for d in range(q) if d != mul(b, c)]
+        reps += [(0, 1, c, d) for c in range(1, q) for d in range(q)]
+        spec._p1_perms = tuple(
+            tuple([index(add(mul(a, x), mul(b, y)), add(mul(c, x), mul(d, y))) for x, y in vectors])
+            for a, b, c, d in reps
+        )
     return spec._p1_perms
 
 

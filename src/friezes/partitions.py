@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
 from operator import add
 from typing import Iterator, Sequence
 
@@ -41,39 +40,27 @@ class CyclicPartition:
         )
 
 
-def _rgs_chunks(
-    n: int,
-) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]], list[int]]]:
+def _rgs_strings(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """The restricted-growth strings of length n >= 2 with b_i != b_{i-1} and
-    b_{n-1} != b_0, in lex order, as (prefix, tails, blocks) for every prefix
-    b_0..b_{m-1}, m = max(1, n - 2), where blocks[j] is the block count of
-    prefix + tails[j].
+    b_{n-1} != b_0, in lex order, each with its block count.
 
-    One step, grow, extends each (string, blocks used, last block) by every
-    block allowed at position i, in order.  The prefixes are grow chained
-    lazily from (0,) over positions 1..m-1, so no level is a list and the
-    chain holds O(n) state.  The tails b_m..b_{n-1} are read from a table
-    keyed by (blocks used, last block); an entry is built on first visit by
-    growing ((), used, last) over positions m..n-1 with the same grow."""
+    One step, grow, extends each (string, blocks used) by every block allowed
+    at position i, in order.  The strings are grow chained lazily from (0,)
+    over positions 1..n-1, so no level is a list and the chain holds O(n)
+    state."""
 
     def grow(level, i):
-        """Each (string, used, last) extended by every b <= used with b != last,
-        and b != b_0 = 0 at the last position, in order and lazily."""
+        """Each (string, used) extended by every b <= used other than its
+        last entry, and b != b_0 = 0 at the last position, in order and
+        lazily."""
         return (
-            (s + (b,), max(used, b + 1), b)
-            for s, used, last in level
+            (s + (b,), max(used, b + 1))
+            for s, used in level
             for b in range(used + 1)
-            if b != last and (b or i < n - 1)
+            if b != s[-1] and (b or i < n - 1)
         )
 
-    m = max(1, n - 2)
-    table = {}
-    for prefix, used, last in reduce(grow, range(1, m), [((0,), 1, 0)]):
-        entry = table.get((used, last))
-        if entry is None:
-            done = list(reduce(grow, range(m, n), [((), used, last)]))
-            entry = table[used, last] = ([t for t, _, _ in done], [u for _, u, _ in done])
-        yield prefix, *entry
+    return reduce(grow, range(1, n), [((0,), 1)])
 
 
 def enumerate_cyclic_partitions(n: int, k: int) -> Iterator[CyclicPartition]:
@@ -81,10 +68,10 @@ def enumerate_cyclic_partitions(n: int, k: int) -> Iterator[CyclicPartition]:
     in the lex order of their restricted-growth strings."""
     if n < 2 or not 1 <= k <= n:
         raise ValueError(f"need n >= 2 and 1 <= k <= n, got n={n}, k={k}")
-    for prefix, tails, counts in _rgs_chunks(n):
-        for tail in compress(tails, map(k.__eq__, counts)):
+    for string, used in _rgs_strings(n):
+        if used == k:
             blocks = [[] for _ in range(k)]
-            for point, b in enumerate(prefix + tail, start=1):
+            for point, b in enumerate(string, start=1):
                 blocks[b].append(point)
             yield CyclicPartition(n, tuple(frozenset(b) for b in blocks))
 

@@ -1,23 +1,24 @@
 """Shared fixtures-in-spirit for the test suite: the small fields everything
 runs over, the exhaustive field-axiom check reused by the acceptance suite,
-the keyed PGL2 orbit count that checks the library's cross-section walk, the
-full row search that checks the min-first frieze catalog, the flat mitm table
-that checks the per-parent one, the per-code text catalog that checks its
-rendering, the FieldElement lift that checks the code-native
-configuration_to_frieze, the restricted-growth string walk that checks the
-cyclic-partition counts, and the per-tuple point count that checks the
-per-block tally."""
+trial division that checks the irreducibility test, the Möbius maps and 2x2
+code products that check the point permutations, the row products and the
+orbit keys, the keyed PGL2 orbit count that checks the library's
+cross-section walk, the full row search that checks the min-first frieze
+catalog, the flat mitm table that checks the per-parent one, the per-code
+text catalog that checks its rendering, the FieldElement lift that checks
+the code-native configuration_to_frieze, the restricted-growth string walk
+that checks the cyclic-partition counts, and the per-tuple point count that
+checks the per-block tally."""
 
 import itertools
 from collections import Counter, defaultdict
 from functools import cache
-from operator import add
 
 from friezes import FieldSpec, FirstRow, FirstRowClass, gf, matrix_criterion
 from friezes.errors import NotLiftable
 from friezes.frieze import row_products
 from friezes.moduli import configuration_index_tuples
-from friezes.partitions import _rgs_chunks
+from friezes.partitions import _rgs_strings
 from friezes.search import _prefix_products
 
 PRIME_POWERS_LE_9 = (2, 3, 4, 5, 7, 8, 9)
@@ -87,6 +88,53 @@ def assert_field_axioms(spec: FieldSpec):
                 assert add(add(a, b), c) == add(a, add(b, c))
                 assert mul(mul(a, b), c) == mul(a, mul(b, c))
                 assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+
+
+def trial_division_irreducible(m, p: int) -> bool:
+    """Whether the monic m (constant term first) has no monic divisor of
+    degree 1..deg(m)//2 over F_p, trying every one."""
+    for d in range(1, (len(m) - 1) // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            if not any(gf._poly_rem(m, list(low) + [1], p)):
+                return False
+    return True
+
+
+def moebius_image(spec: FieldSpec, codes, i: int) -> int:
+    """Point i under [[a, b], [c, d]] on the affine coordinate,
+    (a i + b) / (c i + d), with inf -> a / c and a zero denominator -> inf."""
+    a, b, c, d = codes
+    q, mul, add = spec.q, spec.mul_code, spec.add_code
+    num, den = (a, c) if i == q else (add(mul(a, i), b), add(mul(c, i), d))
+    return mul(num, spec.inv_code(den)) if den else q
+
+
+def mat_mul_codes(spec: FieldSpec, m, n) -> tuple[int, int, int, int]:
+    """The product m n of two 2x2 matrices given as row-major code 4-tuples."""
+    (a, b, c, d), (e, f, g, h) = m, n
+    mul, add = spec.mul_code, spec.add_code
+    return (
+        add(mul(a, e), mul(b, g)), add(mul(a, f), mul(b, h)),
+        add(mul(c, e), mul(d, g)), add(mul(c, f), mul(d, h)),
+    )
+
+
+def pgl2_code_matrices(spec: FieldSpec) -> list[tuple[int, int, int, int]]:
+    """One invertible code 4-tuple per scalar class, the one whose first
+    nonzero entry is 1: q^3 - q of them, filtered from all q^4 tuples."""
+    mul, q = spec.mul_code, spec.q
+    return [
+        m for m in itertools.product(range(q), repeat=4)
+        if mul(m[0], m[3]) != mul(m[1], m[2]) and next(filter(None, m)) == 1
+    ]
+
+
+def random_moebius_move(rng, spec: FieldSpec, t):
+    """The point indices t moved by one random invertible matrix."""
+    while True:
+        g = [rng.randrange(spec.q) for _ in range(4)]
+        if spec.mul_code(g[0], g[3]) != spec.mul_code(g[1], g[2]):
+            return tuple(moebius_image(spec, g, i) for i in t)
 
 
 @cache
@@ -258,13 +306,10 @@ def element_configuration_to_frieze(spec: FieldSpec, tup: tuple[int, ...]):
 
 def rgs_walk(n: int):
     """Restricted-growth strings of length n >= 2 with b_i != b_{i-1} and
-    b_{n-1} != b_0, in lexicographic order: each prefix of
-    partitions._rgs_chunks joined to its tails.  cyclic_partition_counts
-    counts the same strings by state without building them."""
-    chunks = _rgs_chunks(n)
-    return itertools.chain.from_iterable(
-        map(add, itertools.repeat(prefix), tails) for prefix, tails, _ in chunks
-    )
+    b_{n-1} != b_0, in lexicographic order: the strings of
+    partitions._rgs_strings.  cyclic_partition_counts counts the same
+    strings by state without building them."""
+    return (string for string, _ in _rgs_strings(n))
 
 
 def distinct_point_counts(spec: FieldSpec, n: int, budget: int) -> Counter:

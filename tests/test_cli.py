@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import friezes
 from friezes.cli import main
+from friezes.formulas import count_friezes
 
 
 def run(capsys, *argv):
@@ -202,6 +203,14 @@ def test_count_friezes_table(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [r["count"] for r in doc["friezes"]] == [2, 10, 35, 91, 260, 820, 2501]
+
+
+def test_count_parses_a_large_extension_field(capsys):
+    # the default modulus of GF(2^64) is found by Ben-Or's test, where trial
+    # division by every monic polynomial up to degree 32 never finished
+    code, out, _ = run(capsys, "count", "--field", "2^64", "--max-width", "1")
+    assert code == 0
+    assert out.splitlines()[1].split() == ["1", str(count_friezes(2**64, True, 1))]
 
 
 def test_count_moduli_table(capsys):

@@ -13,7 +13,6 @@ from friezes import (
     FieldSpec,
     FirstRow,
     FirstRowClass,
-    Mat2,
     NotLiftable,
     OddN,
     ProjPoint,
@@ -53,6 +52,7 @@ from helpers import (
     field_by_q,
     holds_square_tables,
     keyed_orbit_count,
+    random_moebius_move,
     without_op_tables,
 )
 
@@ -365,26 +365,18 @@ def _random_configuration(rng, q, n):
             return tuple(t)
 
 
-def _random_invertible(rng, spec):
-    while True:
-        g = Mat2.from_codes(spec, [rng.randrange(spec.q) for _ in range(4)])
-        if g.det().code:
-            return g
-
-
 @pytest.mark.parametrize("p, k", [(2, 4), (3, 3), (7, 2), (2, 6)])
 def test_orbit_key_invariant_on_larger_fields(p, k):
     # beyond the group scan: the key is constant on orbits, with the group
-    # acting through Mat2.act rather than the key's own Mobius maps, and it
-    # has the shape sharp 3-transitivity forces
+    # acting through the tests' Möbius oracle rather than the key's own
+    # Mobius maps, and it has the shape sharp 3-transitivity forces
     spec = FieldSpec(p, k)
     q = spec.q
     rng = random.Random(1000 * q + 13)
     keys = {}
     for _ in range(60):
         t = _random_configuration(rng, q, rng.randint(3, 8))
-        g = _random_invertible(rng, spec)
-        moved = tuple(g.act(ProjPoint.from_index(spec, i)).index for i in t)
+        moved = random_moebius_move(rng, spec, t)
         key = orbit_of(config(spec, t))
         assert orbit_of(config(spec, moved)) == key
         assert key[:2] == (0, 1)
@@ -668,8 +660,7 @@ def test_orbit_key_invariant_under_mobius_maps_on_gf256_and_gf257(p, k):
     rng = random.Random(spec.q)
     for _ in range(40):
         t = _random_configuration(rng, spec.q, rng.randint(3, 8))
-        g = _random_invertible(rng, spec)
-        moved = tuple(g.act(ProjPoint.from_index(spec, i)).index for i in t)
+        moved = random_moebius_move(rng, spec, t)
         key = orbit_of(config(spec, t))
         assert orbit_of(config(spec, moved)) == key
         assert orbit_of(config(spec, key)) == key
