@@ -28,7 +28,7 @@ from .frieze import (
     frieze_from_first_row,
     render_frieze,
 )
-from .gf import parse_field_descriptor
+from .gf import parse_code, parse_field_descriptor
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -38,7 +38,7 @@ EXIT_MISMATCH = 3
 
 def _parse_row(spec, text: str) -> FirstRow:
     try:
-        codes = [int(c) for c in text.split(",")]
+        codes = [parse_code(c) for c in text.split(",")]
     except ValueError as exc:
         raise FriezeError(f"bad row {text!r}: entries are element codes") from exc
     return FirstRow.from_codes(spec, map(spec.checked_code, codes))

@@ -30,8 +30,10 @@ frozen.
 FirstRow and Frieze store element codes 0..q-1; FieldElements are built only
 where the API returns them (FirstRow.elements, Frieze.row, Frieze.entry).
 FirstRow(spec, codes) and FirstRow.from_codes check their codes;
-FirstRow._trusted skips the checks, for the search's orbit representatives.  The
-SL2 step P -> M(a) P of one row is row_products, by code ops;
+FirstRow._trusted skips the checks, for the search's orbit representatives.
+frieze_from_first_row runs the recursion above a whole row at a time, by code
+ops.  The SL2 step P -> M(a) P of one row is row_products, which
+matrix_criterion and moduli.frieze_to_configuration read;
 search._prefix_products is the search's copy, which steps all q children of a
 prefix at once from two FieldSpec.line_codes rows and writes the prefixes as
 strs of chr(code).  The search result keeps its orbit representatives as such
@@ -209,50 +211,31 @@ def matrix_criterion(row: FirstRow | Sequence[FieldElement]) -> tuple[bool, Mat2
 
 
 def frieze_from_first_row(row: FirstRow) -> Frieze | NotAFrieze:
-    """Run the diagonal recursion from the row; accept iff the array closes
-    up (equivalently, iff the matrix criterion holds).  Diagonal c is the p00
-    column of row_products read from a_c."""
-    codes = row.codes
-    n = row.n
-    w = n - 3
-    diagonals = [
-        [0, 1] + [p[0] for p in row_products(row.spec, (codes[c:] + codes[:c])[:-1])]
-        for c in range(n)
-    ]
-    if any(d[w + 2] != 1 or d[w + 3] != 0 for d in diagonals):
+    """Run the diagonal recursion one whole row at a time from rows -1 and 0:
+    row r+1 is the first row rotated by r, times row r, minus row r-1, entry
+    by entry.  Accept iff the array closes up with row w+1 all ones and row
+    w+2 all zeros (equivalently, iff the matrix criterion holds)."""
+    codes, n = row.codes, row.n
+    mul, sub = row.spec.mul_code, row.spec.sub_code
+    prev, cur = (0,) * n, (1,) * n
+    rows = {-1: prev, 0: cur}
+    for r in range(n - 1):
+        prev, cur = cur, tuple(map(sub, map(mul, codes[r:] + codes[:r], cur), prev))
+        rows[r + 1] = cur
+    if prev != (1,) * n or cur != (0,) * n:
         return NotAFrieze(row, matrix_criterion(row)[1])
-    rows = {r: tuple(d[r + 1] for d in diagonals) for r in range(-1, w + 3)}
     return Frieze(row, rows)
 
 
-def _extended_entry(f: Frieze, r: int, c: int) -> int:
-    """Entry code in the doubly extended array, rows -3 .. w+4.
-
-    Rows -2 and w+3 are all -1; rows -3 and w+4 are the negated first row,
-    shifted, as forced by the recursion.
-    """
-    w = f.width
-    if -1 <= r <= w + 2:
-        return f.entry_code(r, c)
-    spec = f.spec
-    codes = f.first_row.codes
-    n = f.n
-    if r in (-2, w + 3):
-        return spec.neg_code(1)
-    if r == -3:
-        return spec.neg_code(codes[(c - 2) % n])
-    if r == w + 4:
-        return spec.neg_code(codes[(c + w + 3) % n])
-    raise IndexError(f"row {r} outside the extended range")
-
-
-def _diamond3(f: Frieze, r: int, c: int) -> tuple[tuple[int, int, int], ...]:
-    """The 3x3 diamond centred at (r, c), as matrix rows (a b c / d e f / g h i)."""
-    e = _extended_entry
+def _diamond3(rows: list[tuple[int, ...]], i: int, c: int) -> tuple[tuple[int, int, int], ...]:
+    """The 3x3 diamond centred at column c of rows[i], as matrix rows
+    (a b c / d e f / g h i); columns are read mod n."""
+    up2, up1, mid, down1, down2 = rows[i - 2 : i + 3]
+    left, right = c - 1, (c + 1) % len(mid)
     return (
-        (e(f, r, c - 1), e(f, r - 1, c), e(f, r - 2, c + 1)),
-        (e(f, r + 1, c - 1), e(f, r, c), e(f, r - 1, c + 1)),
-        (e(f, r + 2, c - 1), e(f, r + 1, c), e(f, r, c + 1)),
+        (mid[left], up1[c], up2[right]),
+        (down1[left], mid[c], up1[right]),
+        (down2[left], down1[c], mid[right]),
     )
 
 
@@ -282,22 +265,27 @@ def check_tame(f: Frieze, all_diamonds: bool = False) -> TamenessReport:
 
     Diamonds with a nonzero centre are rank 2 automatically (their
     determinant vanishes by the Desnanot-Jacobi identity) and are skipped.
-    With all_diamonds=True the check instead covers every centre in rows
-    -1..w+2, extending the array by the two forced border rows on each side;
-    this is the debug mode that validates the zero-centre shortcut.
+    The zeros lie in rows 1..w, so their diamonds read only the stored rows
+    -1..w+2.  With all_diamonds=True the check instead covers every centre
+    in rows -1..w+2, on the array extended by the two rows the recursion
+    forces on each side: rows -2 and w+3 are all -1, row w+4 is the negated
+    first row and row -3 is row w+4 shifted by two places (the glide
+    reflection).  This is the debug mode that validates the zero-centre
+    shortcut.
     """
-    w = f.width
+    w, n = f.width, f.n
+    rows = [f._rows[r] for r in range(-1, w + 3)]
     if all_diamonds:
-        centres = ((r, c) for r in range(-1, w + 3) for c in range(f.n))
+        neg = f.spec.neg_code
+        minus_one, below = (neg(1),) * n, tuple(map(neg, f.first_row.codes))
+        rows = [below[-2:] + below[:-2], minus_one, *rows, minus_one, below]
+        top = -3
+        centres = ((r, c) for r in range(-1, w + 3) for c in range(n))
     else:
-        centres = (
-            (r, c)
-            for r in range(1, w + 1)
-            for c in range(f.n)
-            if f.entry_code(r, c) == 0
-        )
+        top = -1
+        centres = ((r, c) for r in range(1, w + 1) for c, x in enumerate(rows[r + 1]) if x == 0)
     for r, c in centres:
-        if not _rank_is_2(f.spec, _diamond3(f, r, c)):
+        if not _rank_is_2(f.spec, _diamond3(rows, r - top, c)):
             return TamenessReport(ok=False, witness=(r, c))
     return TamenessReport(ok=True)
 

@@ -595,6 +595,16 @@ def pgl2_point_permutations(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
     return spec._p1_perms
 
 
+def parse_code(text: str) -> int:
+    """An element code written as text: ASCII decimal digits, surrounding
+    whitespace stripped.  int() alone would also read signs, underscores and
+    non-ASCII digits.  Range checks are FieldSpec.checked_code's."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an element code")
+    return int(digits)
+
+
 @functools.lru_cache(maxsize=32)
 def parse_field_descriptor(text: str) -> FieldSpec:
     """Build a FieldSpec from a descriptor like "5", "2^2" or "2^2:1,1,1".

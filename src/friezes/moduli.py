@@ -52,7 +52,7 @@ from .errors import (
     check_budget,
 )
 from .frieze import FirstRow, matrix_criterion, row_products
-from .gf import FieldElement, FieldSpec, ProjPoint
+from .gf import FieldElement, FieldSpec, ProjPoint, parse_code
 from .gf import pgl2_point_permutations  # unused here; perfbench/spans.py wraps it
 
 
@@ -127,7 +127,7 @@ def parse_points(spec: FieldSpec, labels: Sequence[str]) -> Configuration:
             indices.append(spec.q)
             continue
         try:
-            code = int(lab)
+            code = parse_code(lab)
         except ValueError as exc:
             raise ValueError(
                 f"bad point label {lab!r}: labels are element codes or inf"

@@ -91,21 +91,19 @@ def cyclic_partition_counts(n: int, budget: int = DEFAULT_BUDGET) -> list[int]:
     state, position by position (_step), in O(n^2) steps, and builds no
     string; after the last position no prefix ends in 0 (Stanley,
     Enumerative Combinatorics I, 4.7, the transfer-matrix method).
-    Raises BudgetExceeded before walking if the walk would stand for more
-    than budget strings, sum_k A_{k,n} by the closed form.  A_{3,n} =
-    (2^n + 2(-1)^n)/6 >= 2^(n-3) for n >= 3, so when n - 3 >
-    budget.bit_length() it is charged as the pair (2, n - 3): check_budget
-    refuses that without building 2^n, as it would refuse the exact term."""
+    Raises BudgetExceeded if the strings the walk counted, sum_k A_{k,n},
+    number more than budget.  A_{3,n} = (2^n + 2(-1)^n)/6 >= 2^(n-3) for
+    n >= 3, so when n - 3 > budget.bit_length() it refuses before walking,
+    charging the pair (2, n - 3): check_budget refuses that without building
+    2^n, as it would refuse the exact count."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    huge = n - 3 > budget.bit_length()
-    strings = (
-        (2, n - 3) if huge and k == 3 else a_kn_closed_form(k, n) for k in range(2, n + 1)
-    )
-    check_budget(strings, budget, "cyclic partition strings")
+    if n - 3 > budget.bit_length():
+        check_budget([(2, n - 3)], budget, "cyclic partition strings")
     zero, other = [0, 1], [0, 0]
     for i in range(1, n):
         zero, other = _step(zero, other, i == n - 1)
+    check_budget([sum(other)], budget, "cyclic partition strings")
     return other
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures-in-spirit for the test suite: the small fields everything
-runs over, the exhaustive field-axiom check reused by the acceptance suite,
-trial division that checks the irreducibility test, the Möbius maps and 2x2
+runs over, the per-diagonal frieze construction and the extended-entry
+formulas that check the row recursion and the tameness diamonds, the
+exhaustive field-axiom check reused by the acceptance suite, trial division that checks the irreducibility test, the Möbius maps and 2x2
 code products that check the point permutations, the row products and the
 orbit keys, the keyed PGL2 orbit count that checks the library's
 cross-section walk, the full row search that checks the min-first frieze
@@ -14,9 +15,10 @@ import itertools
 from collections import Counter, defaultdict
 from functools import cache
 
-from friezes import FieldSpec, FirstRow, FirstRowClass, gf, matrix_criterion
+from friezes import FieldSpec, FirstRow, FirstRowClass, Frieze, NotAFrieze, gf, matrix_criterion
 from friezes.errors import NotLiftable
 from friezes.frieze import row_products
+from friezes.gf import Mat2
 from friezes.moduli import configuration_index_tuples
 from friezes.partitions import _rgs_strings
 from friezes.search import _prefix_products
@@ -88,6 +90,50 @@ def assert_field_axioms(spec: FieldSpec):
                 assert add(add(a, b), c) == add(a, add(b, c))
                 assert mul(mul(a, b), c) == mul(a, mul(b, c))
                 assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+
+
+def frieze_by_diagonals(row: FirstRow) -> Frieze | NotAFrieze:
+    """The frieze of a first row built one diagonal at a time: diagonal c is
+    the p00 column of row_products read from a_c, and a row whose diagonals
+    do not close up is rejected with the full product M(a_{n-1}) ... M(a_0).
+    frieze_from_first_row builds whole rows by the recursion instead."""
+    spec, codes, n = row.spec, row.codes, row.n
+    w = n - 3
+    diagonals = [
+        [0, 1] + [p[0] for p in row_products(spec, (codes[c:] + codes[:c])[:-1])]
+        for c in range(n)
+    ]
+    if any(d[w + 2] != 1 or d[w + 3] != 0 for d in diagonals):
+        return NotAFrieze(row, Mat2.from_codes(spec, row_products(spec, codes)[-1]))
+    return Frieze(row, {r: tuple(d[r + 1] for d in diagonals) for r in range(-1, w + 3)})
+
+
+def extended_entry(f: Frieze, r: int, c: int) -> int:
+    """Entry code of the doubly extended array, rows -3 .. w+4, one entry at
+    a time: rows -2 and w+3 are all -1, and rows -3 and w+4 are the negated
+    first row, shifted, as the recursion forces them.  check_tame builds the
+    extra rows whole."""
+    w, n, spec, codes = f.width, f.n, f.spec, f.first_row.codes
+    if -1 <= r <= w + 2:
+        return f.entry_code(r, c)
+    if r in (-2, w + 3):
+        return spec.neg_code(1)
+    if r == -3:
+        return spec.neg_code(codes[(c - 2) % n])
+    if r == w + 4:
+        return spec.neg_code(codes[(c + w + 3) % n])
+    raise IndexError(f"row {r} outside the extended range")
+
+
+def extended_diamond(f: Frieze, r: int, c: int) -> tuple[tuple[int, int, int], ...]:
+    """The 3x3 diamond centred at (r, c) of the extended array, as matrix
+    rows (a b c / d e f / g h i), read entry by entry."""
+    e = extended_entry
+    return (
+        (e(f, r, c - 1), e(f, r - 1, c), e(f, r - 2, c + 1)),
+        (e(f, r + 1, c - 1), e(f, r, c), e(f, r - 1, c + 1)),
+        (e(f, r + 2, c - 1), e(f, r + 1, c), e(f, r, c + 1)),
+    )
 
 
 def trial_division_irreducible(m, p: int) -> bool:

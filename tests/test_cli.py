@@ -170,7 +170,7 @@ def test_empty_ranges_are_errors(capsys, argv, name):
     "argv",
     [
         ["print", "--field", "5", "--row", "6,1,1,6,1"],
-        ["print", "--field", "5", "--row=-1,1,1"],
+        ["print", "--field", "5", "--row", "1,5,1"],
         ["map", "--field", "5", "--to", "config", "--row", "1,1,1,5"],
         ["map", "--field", "5", "--to", "frieze", "--points", "0,7,inf"],
         ["print", "--field", "2^2", "--row", "9,1,1,1,1"],
@@ -349,6 +349,37 @@ POINT_ERR = "error: bad point label '': labels are element codes or inf\n"
 def test_map_names_an_empty_value(capsys, to, flag, value, err):
     # an empty value is a bad value, not a missing flag
     assert run(capsys, "map", "--field", "2", "--to", to, flag, value) == (1, "", err)
+
+
+ROW_ERR = "error: bad row {!r}: entries are element codes\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("print", "--field", "11", "--row", "1_0,1,1"), ROW_ERR.format("1_0,1,1")),
+        (("print", "--field", "3", "--row", "\u0661,\u0661,\u0661"),
+         ROW_ERR.format("\u0661,\u0661,\u0661")),
+        (("print", "--field", "3", "--row", "+1,+1,+1"), ROW_ERR.format("+1,+1,+1")),
+        (("print", "--field", "3", "--row=-0,1,1"), ROW_ERR.format("-0,1,1")),
+        (("print", "--field", "5", "--row=-1,1,1"), ROW_ERR.format("-1,1,1")),
+        (("map", "--field", "11", "--to", "config", "--row", "1_0,1,1"),
+         ROW_ERR.format("1_0,1,1")),
+        (("map", "--field", "11", "--to", "frieze", "--points", "0,1_0,inf"),
+         "error: bad point label '1_0': labels are element codes or inf\n"),
+        (("map", "--field", "3", "--to", "frieze", "--points", "0,+1,inf"),
+         "error: bad point label '+1': labels are element codes or inf\n"),
+    ],
+)
+def test_codes_are_ascii_decimal_digits(capsys, argv, err):
+    # int() would read every one of these rows and labels as codes
+    assert run(capsys, *argv) == (1, "", err)
+
+
+def test_codes_may_carry_surrounding_whitespace(capsys):
+    assert run(capsys, "print", "--field", "3", "--row", " 1, 1 ,1")[:2] == (0, "1 1\n 1\n")
+    code, out, _ = run(capsys, "map", "--field", "11", "--to", "frieze", "--points", "0, 10 ,inf")
+    assert code == 0 and out.startswith("row: (")
 
 
 @pytest.mark.parametrize("to, err", [("frieze", "--points"), ("config", "--row")])

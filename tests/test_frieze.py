@@ -10,6 +10,7 @@ from friezes import (
     FieldElement,
     FieldSpec,
     FirstRow,
+    Frieze,
     NotAFrieze,
     check_tame,
     dihedral_canonical,
@@ -18,10 +19,17 @@ from friezes import (
     parse_frieze_json,
     render_frieze,
 )
+from friezes import frieze as frieze_module
 from friezes.frieze import dihedral_orbit_codes, frieze_to_json_dict, row_products
 from friezes.search import _min_first_images
 
-from helpers import field_by_q, mat_mul_codes
+from helpers import (
+    extended_diamond,
+    extended_entry,
+    field_by_q,
+    frieze_by_diagonals,
+    mat_mul_codes,
+)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -152,6 +160,63 @@ def test_all_diamonds_debug_mode_small_sweep():
                 if isinstance(built, NotAFrieze):
                     continue
                 assert check_tame(built, all_diamonds=True).ok
+
+
+def _oracle_sweep():
+    """Every row of length 3-7 over GF(2), 3-5 over GF(3) and GF(4) and 3-4
+    over GF(5), with what the per-diagonal construction makes of it."""
+    for spec, lengths in ((F2, range(3, 8)), (F3, range(3, 6)), (F4, range(3, 6)), (F5, (3, 4))):
+        for n in lengths:
+            for codes in itertools.product(range(spec.q), repeat=n):
+                first = FirstRow(spec, codes)
+                yield first, frieze_by_diagonals(first)
+
+
+def test_rows_match_the_per_diagonal_construction():
+    outcomes = []
+    for first, expected in _oracle_sweep():
+        built = frieze_from_first_row(first)
+        assert type(built) is type(expected)
+        if isinstance(expected, NotAFrieze):
+            assert built.row == first and built.product == expected.product
+        else:
+            assert built._rows == expected._rows and built == expected
+        outcomes.append(type(built))
+    assert 0 < outcomes.count(Frieze) < outcomes.count(NotAFrieze)
+
+
+def test_extended_entry_formulas_continue_the_recursion():
+    # the forced rows -3, -2, w+3 and w+4 obey entry(r+1, c) = a_{c+r}
+    # entry(r, c) - entry(r-1, c) with the stored ones
+    for first, f in _oracle_sweep():
+        if isinstance(f, NotAFrieze):
+            continue
+        s, codes, n = f.spec, first.codes, f.n
+        for r in range(-2, f.width + 4):
+            for c in range(n):
+                step = s.mul_code(codes[(c + r) % n], extended_entry(f, r, c))
+                assert extended_entry(f, r + 1, c) == s.sub_code(step, extended_entry(f, r - 1, c))
+
+
+def test_tame_diamonds_match_the_extended_entry_formulas(monkeypatch):
+    # every matrix the rank test sees, in both modes, is the diamond the
+    # extended-entry formulas give, so a wrong forced row fails here even
+    # where its diamond would still have rank 2
+    seen = []
+    rank_is_2 = frieze_module._rank_is_2
+    monkeypatch.setattr(
+        frieze_module, "_rank_is_2", lambda spec, m: seen.append(m) or rank_is_2(spec, m)
+    )
+    for first, f in _oracle_sweep():
+        if isinstance(f, NotAFrieze):
+            continue
+        w, n = f.width, f.n
+        zeros = [(r, c) for r in range(1, w + 1) for c in range(n) if f.entry_code(r, c) == 0]
+        every = [(r, c) for r in range(-1, w + 3) for c in range(n)]
+        for all_diamonds, centres in ((False, zeros), (True, every)):
+            seen.clear()
+            assert check_tame(frieze_from_first_row(first), all_diamonds).ok
+            assert seen == [extended_diamond(f, r, c) for r, c in centres]
 
 
 def test_dihedral_canonical_orbit_sizes():

@@ -574,17 +574,22 @@ def test_rescaling_class_members():
 
 def test_parse_points_rejects_codes_outside_the_field():
     # prime fields used to reduce codes modulo p; every field now rejects them
-    for spec, label in ((F5, "7"), (F5, "5"), (F5, "-1"), (F4, "4"), (F4, "9")):
+    for spec, label in ((F5, "7"), (F5, "5"), (F4, "4"), (F4, "9")):
         with pytest.raises(ValueError, match="out of range"):
             parse_points(spec, ["0", label, "inf"])
     assert parse_points(F5, ["0", "4", "inf"]).indices == (0, 4, 5)
 
 
-@pytest.mark.parametrize("label", ["", "INF", "x", "1.0"])
+# a code is ASCII decimal digits: no sign, no underscore, no other digits
+@pytest.mark.parametrize("label", ["", "INF", "x", "1.0", "-1", "+1", "1_0", "\u0661"])
 def test_parse_points_names_a_bad_label(label):
     with pytest.raises(ValueError) as info:
         parse_points(F5, ["0", label, "inf"])
     assert str(info.value) == f"bad point label {label!r}: labels are element codes or inf"
+
+
+def test_parse_points_strips_whitespace_around_a_code():
+    assert parse_points(FieldSpec(11), [" 10", "1 ", "\tinf\n"]).indices == (10, 1, 11)
 
 
 def test_configuration_to_frieze_needs_three_points():
