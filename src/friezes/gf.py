@@ -315,17 +315,18 @@ class FieldSpec:
         t = self._neg
         return t[a] if t is not None else self._neg_raw(a)
 
-    def line_codes(self, a: int, b: int) -> list[int]:
-        """The codes of a x - b for every x, in code order: one row of the
-        SL2 step, read from the op tables, or stepped as a progression mod p
-        in a prime field above LAZY_TABLE_LIMIT."""
+    def line_codes(self, a: int, b: int, low: int = 0) -> list[int]:
+        """The codes of a x - b for every x >= low, in code order: one row of
+        the SL2 step, read from the op tables, or stepped as a progression
+        mod p in a prime field above LAZY_TABLE_LIMIT."""
         if self.k == 1 and self.q > LAZY_TABLE_LIMIT:
             p = self.p
-            return [y % p for y in range(-b, a * p - b, a)] if a else [-b % p] * p
+            return [y % p for y in range(a * low - b, a * p - b, a)] if a else [-b % p] * (p - low)
         if self._mul is None:
             self._op_tables()
-        shift = self._add[self._neg[b]]
-        return [shift[ax] for ax in self._mul[a]]
+        shift, row = self._add[self._neg[b]], self._mul[a]
+        xs = row[low:] if type(row) is list else map(row.__getitem__, range(low, self.q))
+        return [shift[ax] for ax in xs]
 
     def inv_code(self, a: int) -> int:
         if a == 0:
@@ -609,23 +610,24 @@ def parse_code(text: str) -> int:
 def parse_field_descriptor(text: str) -> FieldSpec:
     """Build a FieldSpec from a descriptor like "5", "2^2" or "2^2:1,1,1".
 
-    The optional modulus suffix lists coefficients constant term first.
-    Results are shared per process, at most 32 of them, each with its op
-    tables once built: 3 q^2 entries, about 1.6 MiB for GF(256) or GF(257)
-    and at most 34 MiB up to LAZY_TABLE_LIMIT, and O(q) above it.  A bad descriptor raises on every call.
+    The optional modulus suffix lists coefficients constant term first, and
+    every number is read by parse_code's rule.  Results are shared per process,
+    at most 32, each with its op tables once built: 3 q^2 entries, 1.6 MiB for
+    GF(256) or GF(257), at most 34 MiB up to LAZY_TABLE_LIMIT and O(q) above
+    it.  A bad descriptor raises on every call.
     """
     text = text.strip()
     body, _, mod_part = text.partition(":")
     modulus = None
     if mod_part:
         try:
-            modulus = [int(c) for c in mod_part.split(",")]
+            modulus = [parse_code(c) for c in mod_part.split(",")]
         except ValueError as exc:
             raise DescriptorError(f"bad modulus in descriptor {text!r}") from exc
     base, caret, deg = body.partition("^")
     try:
-        p = int(base)
-        k = int(deg) if caret else 1
+        p = parse_code(base)
+        k = parse_code(deg) if caret else 1
     except ValueError as exc:
         raise DescriptorError(f"bad field descriptor {text!r}") from exc
     if k < 1:

@@ -1,56 +1,43 @@
 """Exhaustive enumeration of tame friezes of a given width over GF(q).
 
 A width-w frieze is an n-tuple (n = w + 3) whose matrices M(a) = [[a, -1],
-[1, 0]] multiply to M(a_n)...M(a_1) = -Id.  That is three independent
-equations on SL2(F_q), so about q^(n-3) of the q^n tuples solve it and three
-entries of a row follow from the others.  Two strategies:
+[1, 0]] multiply to M(a_n)...M(a_1) = -Id: three independent equations on
+SL2(F_q), so about q^(n-3) of the q^n tuples solve it.  Two strategies:
 
-  naive  depth-first over a_1..a_{n-3}, carrying the prefix product P; then
-         M(a_n) M(a_{n-1}) M(a_{n-2}) = -P^(-1) forces a_{n-1} = p00 and
-         determines a_{n-2} and a_n (one completion when p00 != 0, q or none
-         when p00 = 0), so the work is ~q^(n-3) states in all.
+  naive  depth-first over a_1..a_{n-4}, carrying the prefix product P; each
+         child x = a_{n-3} of P, with L = M(x) P, is completed in one loop
+         over the children: M(a_n) M(a_{n-1}) M(a_{n-2}) = -L^(-1) forces
+         a_{n-1} = l00 and determines a_{n-2} and a_n (one completion when
+         l00 != 0, q or none when l00 = 0).  ~q^(n-3) states in all.
 
   mitm   split n = nl + nr + 1 with nl = n // 2; tabulate the q^nr middle
-         products R = M(a_{n-1})...M(a_{nl+1}) keyed by R's first row, then
-         for each left product L = M(a_nl)...M(a_1) the equation
-         R L = -M(a_n)^(-1) = [[0, -1], [1, -a_n]] fixes that first row as
-         (l10, -l00) and every entry of its bucket fixes a_n, so the work is
-         q^nl left leaves plus the q^nr table.  Buckets are keyed by the int
-         r00 q + (-r01) and hold (mid, -r10, -r11), so a leaf looks up
-         l10 q + l00 and a_n = (-r10) l01 + (-r11) l11 needs no negation.
-         A middle of nr <= 2 entries needs no table: M(a) M(b) =
-         [[ab - 1, -a], [b, -1]] gives a and b back from its first row,
-         which is the naive completion's solve.  So at width <= 3
-         (n <= 6) mitm runs the naive chunks, and both strategies run the
-         same code; the budget still charges the requested strategy, whose
-         estimate is above the ~q^(n-3) work done there.
+         products R = M(a_{n-1})...M(a_{nl+1}), keyed by the int
+         r00 q + (-r01) and holding (mid, -r10, -r11); for each left product
+         L = M(a_nl)...M(a_1), R L = [[0, -1], [1, -a_n]] fixes R's first
+         row as (l10, -l00), and each bucket entry gives
+         a_n = (-r10) l01 + (-r11) l11.  q^nl leaves plus the q^nr table.
+         A middle of nr <= 2 entries is solved, not tabulated (M(a) M(b) =
+         [[ab - 1, -a], [b, -1]]), which is the naive completion: at n <= 6
+         mitm runs the naive chunks, still charged its own budget estimate.
 
 Both walk prefixes with _prefix_products, the search's copy of the SL2 step
-(frieze.row_products is the single-row one).  It steps all q children of a
-prefix at once: their new first row (x p00 - p10, x p01 - p11) is two rows of
-FieldSpec.line_codes.  The completions read rows of the op tables too
-(mul[p01], add[1], ...), from FieldSpec._op_tables, the field's one table
-builder: lists up to gf.LAZY_TABLE_LIMIT, built on a field's first search
-above gf.TABLE_LIMIT (whose budget charges at least 4 q^2), and rows
-computed per read above it, which the field's code ops read from then on.
+(frieze.row_products is the single-row one), which steps the children
+x >= low of a prefix at once: their first row (x p00 - p10, x p01 - p11) is
+two FieldSpec.line_codes rows computed from low.  The completions read op
+table rows from FieldSpec._op_tables: lists up to gf.LAZY_TABLE_LIMIT, built
+on a field's first search above gf.TABLE_LIMIT, rows computed per read above.
 
-Rows, prefixes and mids are strs, code c written as chr(c) and read from
-one alphabet per q (_alphabet): str order is the lex order of the code
-tuples, a str keeps its hash once computed, and slicing and joining copy
-bytes.  So codes stop at 0x10FFFF and the search refuses q > 0x110000.
-The result keeps the orbit representatives as these strs, and the catalog
-renders them with str.translate, so a search decodes no row.  Only reading
-EnumerationResult.orbits (or .tuples) decodes the representatives to code
-tuples, once, into FirstRows built by FirstRow._trusted without re-checking
-codes the search made in range.
+Rows, prefixes and mids are strs of chr(code) from one alphabet per q
+(_alphabet): str order is the lex order of the code tuples and a str keeps
+its hash, so codes stop at 0x10FFFF and q > 0x110000 is refused.  The catalog
+renders the representatives' strs with str.translate; only
+EnumerationResult.orbits (or .tuples) decodes them, once.
 
-Both search only min-first rows, whose first code is their smallest: the
-smallest member of a dihedral orbit is one, so they are enough for the
-catalog.  Chunk c holds the rows with a_1 = c and every code >= c, found by
-stepping only children >= c and keeping solved entries >= c; mitm shares one
-table whose entries carry min(mid).  Both strategies give identical,
-lexicographically sorted rows, the chunks concatenated in code order, and so
-identical catalogs.  The search runs in one thread.
+Both search only min-first rows, whose first code is their smallest, as the
+smallest member of a dihedral orbit is: chunk c holds the rows with a_1 = c
+and every code >= c (mitm's shared table tags entries with min(mid)).  Both
+strategies give the same lex-sorted rows, the chunks in code order, and one
+walk over them builds the catalog.  The search runs in one thread.
 """
 
 from __future__ import annotations
@@ -128,7 +115,7 @@ def _prefix_products(spec: FieldSpec, length: int, firsts, low: int = 0) -> list
     str of chr(a_i) and P = M(a_length)...M(a_1): a flat walk that steps
     P -> M(a) P for a whole level at a time.  The children of one parent
     read their new first row (a p00 - p10, a p01 - p11) from two line_codes
-    rows, sliced at low."""
+    rows, which start at low."""
     line = spec.line_codes
     alphabet = _alphabet(spec.q)
     chars = alphabet[low:]
@@ -138,34 +125,43 @@ def _prefix_products(spec: FieldSpec, length: int, firsts, low: int = 0) -> list
         level = [
             (prefix + c, y0, y1, p00, p01)
             for prefix, p00, p01, p10, p11 in level
-            for c, y0, y1 in zip(chars, line(p00, p10)[low:], line(p01, p11)[low:])
+            for c, y0, y1 in zip(chars, line(p00, p10, low), line(p01, p11, low))
         ]
     return level
 
 
 def _naive_chunk(spec: FieldSpec, n: int, first: int) -> list[str]:
-    """The min-first rows with a_1 = first, in lex order: a_2..a_{n-3} are
-    scanned over the codes >= first, and the last three entries are solved
-    from the prefix product and kept when all three are >= first."""
-    alphabet = _alphabet(spec.q)
+    """The min-first rows with a_1 = first, in lex order: parents
+    a_1..a_{n-4} walked over the codes >= first, each completing all its
+    children a_{n-3} = x >= first in one loop, no leaf built."""
+    alphabet, line = _alphabet(spec.q), spec.line_codes
     add, sub, mul, neg, inv = spec._op_tables()
     inc, neg1 = add[1], neg[1]
-    leaves = _prefix_products(spec, n - 3, (first,), first)
-    out = []
-    # M(z) M(p00) M(y) = -P^(-1) = [[-p11, p01], [p10, -p00]] needs
-    # y p00 = 1 + p10 and gives z = p11 - y p01; det P = 1 does the rest.
-    # a_{n-1} = p00 must be >= first.  When p00 = 0 every y works and the z
-    # are the row -p01 y + p11; only chunk 0 keeps those rows.
+    # Child x of P has L = M(x) P = [[x p00 - p10, x p01 - p11], [p00, p01]].
+    # M(z) M(l00) M(y) = -L^(-1) = [[-p01, l01], [p00, -l00]] needs
+    # y l00 = 1 + p00 and gives z = p01 - y l01; det L = 1 does the rest.
+    # a_{n-1} = l00 must be >= first.  When l00 = 0 and p00 = -1 every y
+    # works, z = -l01 y + p01; only chunk 0 keeps those rows.
+    families = [("", 1, 0, [(alphabet[first], first, neg1)])]  # n = 4: a_1, a child of Id
+    if n > 4:
+        families = (
+            (prefix, p00, p01, zip(alphabet[first:], line(p00, p10, first), line(p01, p11, first)))
+            for prefix, p00, p01, p10, p11 in _prefix_products(spec, n - 4, (first,), first)
+        )
     least = max(first, 1)
-    for prefix, p00, p01, p10, p11 in leaves:
-        if p00 >= least:
-            y = mul[inc[p10]][inv[p00]]
-            z = sub[p11][mul[y][p01]]
-            if y >= first and z >= first:
-                out.append(prefix + alphabet[y] + alphabet[p00] + alphabet[z])
-        elif p10 == neg1 and not first:
-            zs = spec.line_codes(neg[p01], neg[p11])
-            out += [prefix + y + "\0" + alphabet[z] for y, z in zip(alphabet, zs)]
+    out = []
+    for prefix, p00, p01, children in families:
+        solve, shift = mul[inc[p00]], sub[p01]
+        for c, l00, l01 in children:
+            if l00 >= least:
+                y = solve[inv[l00]]
+                if y >= first:
+                    z = shift[mul[y][l01]]
+                    if z >= first:
+                        out.append(f"{prefix}{c}{alphabet[y]}{alphabet[l00]}{alphabet[z]}")
+            elif p00 == neg1 and not first:
+                zs = line(neg[l01], neg[p01])
+                out += [f"{prefix}{c}{y}\0{alphabet[z]}" for y, z in zip(alphabet, zs)]
     return out
 
 
@@ -217,7 +213,7 @@ def _mitm_chunk(spec: FieldSpec, nl: int, first: int, table) -> list[str]:
     # a_n = (-r10) l01 + (-r11) l11.
     for prefix, p00, p01, p10, p11 in _prefix_products(spec, nl - 1, (first,), first):
         base = p00 * q
-        for x, l00 in zip(range(first, q), line(p00, p10)[first:]):
+        for x, l00 in zip(range(first, q), line(p00, p10, first)):
             bucket = get(base + l00)
             if bucket:
                 leaf = prefix + alphabet[x]
@@ -226,29 +222,27 @@ def _mitm_chunk(spec: FieldSpec, nl: int, first: int, table) -> list[str]:
                     if least >= first:
                         a_n = add[m01[s10]][m11[s11]]
                         if a_n >= first:
-                            out.append(leaf + mid + alphabet[a_n])
+                            out.append(f"{leaf}{mid}{alphabet[a_n]}")
     return out
 
 
 def _min_first_images(t):
     """The images of the row t, a str or a code tuple, under rotation and
-    reversal that start with m = t[0], and the size of t's whole dihedral
-    orbit.  With r = t[:1] + t[:0:-1], the reversal that fixes position 0,
-    they are the rotations of t and of r to the positions holding m:
-    k = t.count(m) starts in each, t and r themselves and k - 1 more found
-    by index.  That is 2k of the 2n elements of the dihedral group, each
-    image met 2n / size times, so size = n len(images) / k."""
+    reversal that start with m = t[0], and the size of t's dihedral orbit.
+    Each of the k = t.count(m) starts i of t, from one index scan, gives the
+    rotation tt[i : i + n] and the reversal read back from i, rr[n - i : 2n - i]
+    with r = t[:1] + t[:0:-1].  That is 2k of the 2n elements of the dihedral
+    group, each image met 2n / size times, so size = n len(images) / k."""
     n, m = len(t), t[0]
     k = t.count(m)
     r = t[:1] + t[:0:-1]
     images = {t, r}
     tt, rr = t + t, r + r
-    i = j = 0
+    i = 0
     for _ in range(k - 1):
         i = t.index(m, i + 1)
-        j = r.index(m, j + 1)
         images.add(tt[i : i + n])
-        images.add(rr[j : j + n])
+        images.add(rr[n - i : 2 * n - i])
     return images, n * len(images) // k
 
 
@@ -260,16 +254,15 @@ def enumerate_friezes(
 ) -> EnumerationResult:
     """All tame friezes of the given width, as their dihedral orbit catalog.
 
-    The smallest member of an orbit starts with its smallest code, so the
-    search looks only for min-first rows (a_1 = min of the row): chunk c
-    walks the codes >= c and keeps the rows with a_1 = c.  Chunks come in
-    code order, each sorted, so the rows are sorted, and one walk over them
-    builds the catalog.  The first row still unmarked is the smallest member
-    of its orbit; its min-first images are built and removed from the
-    unmarked set, and the orbit's size comes from them.  An image that was
-    not found means the rows are not closed under rotation and reversal, as
-    the frieze condition makes them.  total_count is the sum of the sizes,
-    and result.tuples lists every row again, from the orbits, on first use."""
+    The search finds the min-first rows (a_1 = min of the row), sorted, and
+    one walk over them builds the catalog.  The first row t still unmarked
+    is the smallest member of its orbit, whose min-first images are removed
+    from the unmarked set in one pass: when t[0] occurs once they are t and
+    its reversal r = t[:1] + t[:0:-1], the orbit of size n if r = t and 2n
+    otherwise; else _min_first_images builds them.  An image not removed
+    means the rows are not closed under rotation and reversal, as the frieze
+    condition makes them.  total_count is the sum of the sizes, and
+    result.tuples lists every row again, from the orbits, on first use."""
     if width < 1:
         raise ValueError("enumeration needs width >= 1")
     if strategy not in ("naive", "mitm"):
@@ -283,9 +276,8 @@ def enumerate_friezes(
             f"= 0x110000, the limit of codes written as chars (chr stops at 0x10FFFF)"
         )
     rows = []
-    # up to n = 6 the mitm middle has n - 1 - n // 2 <= 2 entries: it is
-    # solved, not tabulated, by _naive_chunk's completion, whose ~q^(n-3)
-    # work stays below the mitm charge
+    # up to n = 6 the mitm middle, n - 1 - n // 2 <= 2 entries, is solved by
+    # _naive_chunk's completion, whose ~q^(n-3) work is below the mitm charge
     if strategy == "naive" or n <= 6:
         for first in range(spec.q):
             rows += _naive_chunk(spec, n, first)
@@ -300,10 +292,16 @@ def enumerate_friezes(
     for t in rows:
         if t not in unmarked:
             continue
-        images, size = _min_first_images(t)
-        if not images <= unmarked:
+        if t.count(t[0]) == 1:  # t and r are its only min-first images
+            r = t[:1] + t[:0:-1]
+            left, size = len(unmarked) - 1, n if r == t else 2 * n
+            unmarked.discard(r)
+        else:
+            images, size = _min_first_images(t)
+            left = len(unmarked) - len(images)
+            unmarked -= images
+        if len(unmarked) != left:
             raise AssertionError("solutions not dihedral-closed")
-        unmarked -= images
         reps.append(t)
         sizes.append(size)
     return EnumerationResult(spec, width, sum(sizes), reps, sizes)

@@ -1,15 +1,16 @@
 """Shared fixtures-in-spirit for the test suite: the small fields everything
 runs over, the per-diagonal frieze construction and the extended-entry
 formulas that check the row recursion and the tameness diamonds, the
-exhaustive field-axiom check reused by the acceptance suite, trial division that checks the irreducibility test, the Möbius maps and 2x2
-code products that check the point permutations, the row products and the
-orbit keys, the keyed PGL2 orbit count that checks the library's
-cross-section walk, the full row search that checks the min-first frieze
-catalog, the flat mitm table that checks the per-parent one, the per-code
-text catalog that checks its rendering, the FieldElement lift that checks
-the code-native configuration_to_frieze, the restricted-growth string walk
-that checks the cyclic-partition counts, and the per-tuple point count that
-checks the per-block tally."""
+exhaustive field-axiom check reused by the acceptance suite, trial division
+that checks the irreducibility test, the Möbius maps and 2x2 code products
+that check the point permutations, the row products and the orbit keys, the
+keyed PGL2 orbit count that checks the library's cross-section walk, the
+full row search that checks the min-first frieze catalog, the per-leaf naive
+completion that checks the fused one, the flat mitm table that checks the
+per-parent one, the per-code text catalog that checks its rendering, the
+FieldElement lift that checks the code-native configuration_to_frieze, the
+restricted-growth string walk that checks the cyclic-partition counts, and
+the per-tuple point count that checks the per-block tally."""
 
 import itertools
 from collections import Counter, defaultdict
@@ -21,7 +22,7 @@ from friezes.frieze import row_products
 from friezes.gf import Mat2
 from friezes.moduli import configuration_index_tuples
 from friezes.partitions import _rgs_strings
-from friezes.search import _prefix_products
+from friezes.search import _alphabet, _prefix_products
 
 PRIME_POWERS_LE_9 = (2, 3, 4, 5, 7, 8, 9)
 
@@ -274,6 +275,30 @@ def full_rows(spec: FieldSpec, width: int, strategy: str) -> list[tuple[int, ...
         for mid, r10, r11 in table.get((l10, neg(l00)), ()):
             rows.append(prefix + mid + (neg(add(mul(r10, l01), mul(r11, l11))),))
     return rows
+
+
+def naive_chunk_per_leaf(spec: FieldSpec, n: int, first: int) -> list[str]:
+    """search._naive_chunk completed one leaf at a time: every prefix of
+    length n - 3 from _prefix_products, each solved on its own from its
+    product P.  _naive_chunk completes the children of each prefix of length
+    n - 4 in one loop and builds no leaf."""
+    alphabet = _alphabet(spec.q)
+    add, sub, mul, neg, inv = spec._op_tables()
+    inc, neg1 = add[1], neg[1]
+    out = []
+    # M(z) M(p00) M(y) = -P^(-1) = [[-p11, p01], [p10, -p00]] needs
+    # y p00 = 1 + p10 and gives z = p11 - y p01.  When p00 = 0 every y works
+    # and the z are the row -p01 y + p11; only chunk 0 keeps those rows.
+    for prefix, p00, p01, p10, p11 in _prefix_products(spec, n - 3, (first,), first):
+        if p00 >= max(first, 1):
+            y = mul[inc[p10]][inv[p00]]
+            z = sub[p11][mul[y][p01]]
+            if y >= first and z >= first:
+                out.append(prefix + alphabet[y] + alphabet[p00] + alphabet[z])
+        elif p10 == neg1 and not first:
+            zs = spec.line_codes(neg[p01], neg[p11])
+            out += [prefix + y + "\0" + alphabet[z] for y, z in zip(alphabet, zs)]
+    return out
 
 
 def flat_mitm_table(spec: FieldSpec, nr: int) -> dict:

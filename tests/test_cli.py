@@ -376,6 +376,28 @@ def test_codes_are_ascii_decimal_digits(capsys, argv, err):
     assert run(capsys, *argv) == (1, "", err)
 
 
+@pytest.mark.parametrize(
+    "field, err",
+    [
+        ("1_1", "error: bad field descriptor '1_1'\n"),
+        ("+5", "error: bad field descriptor '+5'\n"),
+        ("\u0661\u0661", "error: bad field descriptor '\u0661\u0661'\n"),
+        ("2^+2", "error: bad field descriptor '2^+2'\n"),
+        ("2^2:1,+1,1", "error: bad modulus in descriptor '2^2:1,+1,1'\n"),
+    ],
+)
+def test_field_descriptors_are_ascii_decimal_digits(capsys, field, err):
+    # int() would read 1_1 and the Arabic-Indic digits as 11 and +5 as 5,
+    # and count over GF(11), GF(5) and GF(2^2)
+    assert run(capsys, "count", "--field", field, "--max-width", "1") == (1, "", err)
+
+
+def test_field_descriptors_may_carry_surrounding_whitespace(capsys):
+    assert run(capsys, "count", "--field", " 2 ^ 2 : 1, 1 ,1 ", "--max-width", "1")[:2] == (
+        0, "w  f_w\n1  7\n"
+    )
+
+
 def test_codes_may_carry_surrounding_whitespace(capsys):
     assert run(capsys, "print", "--field", "3", "--row", " 1, 1 ,1")[:2] == (0, "1 1\n 1\n")
     code, out, _ = run(capsys, "map", "--field", "11", "--to", "frieze", "--points", "0, 10 ,inf")

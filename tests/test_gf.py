@@ -245,6 +245,11 @@ def test_descriptor_errors():
         parse_field_descriptor("banana")
     with pytest.raises(DescriptorError):
         parse_field_descriptor("5:1,1")
+    # numbers are ASCII decimal digits, as element codes are: int() would
+    # read each of these
+    for text in ("1_1", "+5", "\u0661\u0661", "2^+2", "2^-1", "2^2:1,+1,1", "2^2:-1,1,1"):
+        with pytest.raises(DescriptorError):
+            parse_field_descriptor(text)
     with pytest.raises(ReducibleModulus):
         parse_field_descriptor("2^2:1,0,1")
 
@@ -410,3 +415,6 @@ def test_line_codes_match_code_ops(p, k):
     for a, b in pairs:
         row = spec.line_codes(a, b)
         assert row == [spec._add_raw(spec._mul_raw(a, x), spec._neg_raw(b)) for x in range(q)]
+        # a low bound computes the entries from x = low only
+        for low in (1, rng.randrange(q), q - 1, q):
+            assert spec.line_codes(a, b, low) == row[low:]

@@ -38,6 +38,7 @@ from helpers import (
     flat_mitm_table,
     full_rows,
     holds_square_tables,
+    naive_chunk_per_leaf,
     per_code_catalog_text,
     without_op_tables,
 )
@@ -125,6 +126,35 @@ def test_strategies_agree_without_op_tables(monkeypatch):
         assert _mitm_chunk(spec, 2, first, table) == _naive_chunk(spec, 4, first)
     assert not holds_square_tables(spec)
     assert enumerate_friezes(spec, 1).total_count == count_friezes(257, False, 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_fused_naive_chunk_matches_the_per_leaf_completion(q):
+    # the fields and widths of test_strategies_match_brute_force, chunk by
+    # chunk; chunk 0 completes prefixes with p00 = 0 by all q values of
+    # a_{n-2}, the rows with a_{n-1} = 0
+    spec = field_by_q(q)
+    zero_before_last = False
+    n = 4
+    while q**n <= 2 * 10**4:
+        for first in range(q):
+            rows = _naive_chunk(spec, n, first)
+            assert rows == naive_chunk_per_leaf(spec, n, first), (n, first)
+            zero_before_last = zero_before_last or any(row[-2] == "\0" for row in rows)
+        n += 1
+    assert zero_before_last
+
+
+def test_fused_naive_chunk_matches_the_per_leaf_completion_without_op_tables(monkeypatch):
+    # GF(257) as if above gf.LAZY_TABLE_LIMIT, on raw rows and progression
+    # line rows: every chunk at widths 1 and 2, and at width 3 chunk 0, whose
+    # p00 = 0 prefixes fan out over all q values of a_4, and chunk q - 1
+    without_op_tables(monkeypatch, 256)
+    spec = FieldSpec(257)
+    chunks = [(n, first) for n in (4, 5) for first in range(spec.q)] + [(6, 0), (6, 256)]
+    for n, first in chunks:
+        assert _naive_chunk(spec, n, first) == naive_chunk_per_leaf(spec, n, first), (n, first)
+    assert not holds_square_tables(spec)
 
 
 def test_mitm_tabulates_only_a_middle_of_three_or_more(monkeypatch):
@@ -249,13 +279,21 @@ def test_solution_set_closed_under_dihedral_action():
 
 def test_orbit_walk_matches_per_tuple_canonicalization():
     # rows with rotational or reflective symmetry have orbits smaller than
-    # 2n, which the walk must size from the orbit it builds
-    cases = [(F2, w) for w in range(1, 11)] + [(F3, w) for w in range(1, 6)]
+    # 2n, which the walk must size from the orbit it builds.  Over GF(2) and
+    # GF(3) most representatives repeat their smallest code; over the larger
+    # fields most do not, and the walk takes its path for a unique minimum
+    # (GF(257) w1 is the exception: its rows (x, 2/x, x, 2/x) all repeat x)
+    large = [(field_by_q(13), 3), (FieldSpec(3, 3), 2), (FieldSpec(53), 2), (FieldSpec(257), 1)]
+    cases = [(F2, w) for w in range(1, 11)] + [(F3, w) for w in range(1, 6)] + large
+    unique = Counter()
     for spec, w in cases:
         result = enumerate_friezes(spec, w)
         per_tuple = Counter(min(dihedral_orbit_codes(t)) for t in full_rows(spec, w, "mitm"))
         assert [(rep.codes, size) for rep, size in result.orbits] == sorted(per_tuple.items())
         assert any(size < 2 * (w + 3) for _, size in result.orbits)
+        if (spec, w) in large:
+            unique.update(t.count(t[0]) == 1 for t in result.rep_rows)
+    assert unique[True] > unique[False] > 0
 
 
 def test_published_orbit_catalogs():
@@ -539,18 +577,35 @@ def test_catalog_text_matches_the_per_code_rendering(descriptor, widths):
 
 
 @pytest.mark.parametrize("strategy, chunk", [("naive", "_naive_chunk"), ("mitm", "_mitm_chunk")])
-@pytest.mark.parametrize("pick", [0, -1])
-def test_a_missing_min_first_row_breaks_dihedral_closure(monkeypatch, strategy, chunk, pick):
+@pytest.mark.parametrize(
+    "pick, unique_min",
+    [
+        pytest.param(0, False, id="0"),
+        pytest.param(-1, False, id="-1"),
+        pytest.param(0, True, id="0-unique-min"),
+        pytest.param(-1, True, id="-1-unique-min"),
+    ],
+)
+def test_a_missing_min_first_row_breaks_dihedral_closure(
+    monkeypatch, strategy, chunk, pick, unique_min
+):
     # drop the first (an orbit's smallest member) or the last row of a chunk
     # whose orbit has another min-first image: the walk meets that image
-    # and misses the dropped row.  mitm runs its own chunks from width 4
-    width = 4 if strategy == "mitm" else 3
+    # and misses the dropped row.  The dropped row's smallest code occurs
+    # once (the walk's reversal-only path) or more often (its image-set
+    # path).  mitm runs its own chunks from width 4, and over GF(3) every
+    # such row of width 3 repeats its smallest code
+    width = 4 if strategy == "mitm" or unique_min else 3
     original = getattr(search, chunk)
     dropped = []
 
     def drop_one(*args):
         rows = original(*args)
-        shared = [row for row in rows if len(_min_first_images(row)[0]) > 1]
+        shared = [
+            row
+            for row in rows
+            if len(_min_first_images(row)[0]) > 1 and (row.count(row[0]) == 1) == unique_min
+        ]
         if shared and not dropped:
             dropped.append(shared[pick])
             rows.remove(shared[pick])
