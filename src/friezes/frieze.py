@@ -34,9 +34,9 @@ FirstRow._trusted skips the checks, for the search's orbit representatives.
 frieze_from_first_row runs the recursion above a whole row at a time, by code
 ops.  The SL2 step P -> M(a) P of one row is row_products, which
 matrix_criterion and moduli.frieze_to_configuration read;
-search._prefix_products is the search's copy, which steps all q children of a
-prefix at once from two FieldSpec.line_codes rows and writes the prefixes as
-strs of chr(code).  The search result keeps its orbit representatives as such
+search._families is the search's copy, which every search walk reads: it
+steps the children x >= low of a prefix at once from two FieldSpec.line_codes
+rows and writes the prefixes as strs of chr(code).  The search result keeps its orbit representatives as such
 strs and decodes them to code tuples only when its .orbits are read.
 """
 

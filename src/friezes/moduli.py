@@ -252,8 +252,8 @@ def _walk(
     the chunk hands out that list itself, so no tuple is built and then
     discarded; the streams join them, the counts only sum their lengths
     or tally their point masks.
-    Prefixes and tail paths grow the same way, one point at a time, as in
-    search._prefix_products and partitions._rgs_strings.
+    Prefixes and tail paths grow the same way, one point at a time, as the
+    search's prefixes in search._families and partitions._rgs_strings.
 
     The full walk takes s = max(1, min(n // 2, n - 3)), so the table holds
     about (q + 1)^2 q^s <= |C_n|/q tails for n >= 4.  Its prefixes are the

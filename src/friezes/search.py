@@ -20,12 +20,14 @@ SL2(F_q), so about q^(n-3) of the q^n tuples solve it.  Two strategies:
          [[ab - 1, -a], [b, -1]]), which is the naive completion: at n <= 6
          mitm runs the naive chunks, still charged its own budget estimate.
 
-Both walk prefixes with _prefix_products, the search's copy of the SL2 step
-(frieze.row_products is the single-row one), which steps the children
-x >= low of a prefix at once: their first row (x p00 - p10, x p01 - p11) is
-two FieldSpec.line_codes rows computed from low.  The completions read op
-table rows from FieldSpec._op_tables: lists up to gf.LAZY_TABLE_LIMIT, built
-on a field's first search above gf.TABLE_LIMIT, rows computed per read above.
+The naive chunks, the mitm table and the mitm chunks all read their prefixes
+from _families, the search's one copy of the SL2 step (frieze.row_products
+is the single-row one).  It hands each prefix over with the first row of its
+product and the first rows (x p00 - p10, x p01 - p11) of its children
+x >= low, two FieldSpec.line_codes rows computed from low, so the callers
+only complete or look up children.  The completions read op table rows from
+FieldSpec._op_tables: lists up to gf.LAZY_TABLE_LIMIT, built on a field's
+first search above gf.TABLE_LIMIT, rows computed per read above.
 
 Rows, prefixes and mids are strs of chr(code) from one alphabet per q
 (_alphabet): str order is the lex order of the code tuples and a str keeps
@@ -109,32 +111,37 @@ def _alphabet(q: int) -> tuple[str, ...]:
     return tuple(map(chr, range(q)))
 
 
-def _prefix_products(spec: FieldSpec, length: int, firsts, low: int = 0) -> list[tuple]:
-    """Every prefix (a_1, ..., a_length) with a_1 in firsts and later codes
-    >= low, in lex order, as (prefix, p00, p01, p10, p11) with the prefix a
-    str of chr(a_i) and P = M(a_length)...M(a_1): a flat walk that steps
-    P -> M(a) P for a whole level at a time.  The children of one parent
-    read their new first row (a p00 - p10, a p01 - p11) from two line_codes
-    rows, which start at low."""
-    line = spec.line_codes
-    alphabet = _alphabet(spec.q)
-    chars = alphabet[low:]
-    neg1 = spec.neg_code(1)
-    level = [(alphabet[x], x, neg1, 1, 0) for x in firsts]
-    for _ in range(length - 1):
-        level = [
-            (prefix + c, y0, y1, p00, p01)
-            for prefix, p00, p01, p10, p11 in level
-            for c, y0, y1 in zip(chars, line(p00, p10, low), line(p01, p11, low))
-        ]
-    return level
+def _families(spec: FieldSpec, depth: int, firsts, low: int = 0):
+    """Every prefix (a_1, ..., a_depth) with a_1 in firsts and later codes
+    >= low, in lex order, as (prefix, p00, p01, children): prefix the str of
+    chr(a_i), (p00, p01) the first row of P = M(a_depth)...M(a_1), and
+    children the triples (chr x, x p00 - p10, x p01 - p11) of the first rows
+    of M(x) P for x >= low, two line_codes rows.  This is the search's copy
+    of the SL2 step: a child's row becomes its own family's (p00, p01) and
+    the parent's row its (p10, p11), so no caller sees P's second row.
+    Depth 0 is P = Id, whose children are firsts.  The inner levels are
+    lists; the last is stepped one family at a time as it is read."""
+    neg1 = spec.p - 1  # the code of -1: digit p - 1 in the constant place
+    families = [("", 1, 0, [(chr(x), x, neg1) for x in firsts])]
+    if depth:
+        chars, line = _alphabet(spec.q)[low:], spec.line_codes
+
+        def step(level):
+            for prefix, p00, p01, children in level:
+                for c, y0, y1 in children:
+                    yield prefix + c, y0, y1, zip(chars, line(y0, p00, low), line(y1, p01, low))
+
+        for _ in range(depth - 1):
+            families = list(step(families))
+        families = step(families)
+    return families
 
 
 def _naive_chunk(spec: FieldSpec, n: int, first: int) -> list[str]:
-    """The min-first rows with a_1 = first, in lex order: parents
-    a_1..a_{n-4} walked over the codes >= first, each completing all its
-    children a_{n-3} = x >= first in one loop, no leaf built."""
-    alphabet, line = _alphabet(spec.q), spec.line_codes
+    """The min-first rows with a_1 = first, in lex order: the children
+    a_{n-3} = x >= first of every family a_1..a_{n-4} over the codes >= first
+    completed in one loop, no leaf built."""
+    alphabet = _alphabet(spec.q)
     add, sub, mul, neg, inv = spec._op_tables()
     inc, neg1 = add[1], neg[1]
     # Child x of P has L = M(x) P = [[x p00 - p10, x p01 - p11], [p00, p01]].
@@ -142,15 +149,9 @@ def _naive_chunk(spec: FieldSpec, n: int, first: int) -> list[str]:
     # y l00 = 1 + p00 and gives z = p01 - y l01; det L = 1 does the rest.
     # a_{n-1} = l00 must be >= first.  When l00 = 0 and p00 = -1 every y
     # works, z = -l01 y + p01; only chunk 0 keeps those rows.
-    families = [("", 1, 0, [(alphabet[first], first, neg1)])]  # n = 4: a_1, a child of Id
-    if n > 4:
-        families = (
-            (prefix, p00, p01, zip(alphabet[first:], line(p00, p10, first), line(p01, p11, first)))
-            for prefix, p00, p01, p10, p11 in _prefix_products(spec, n - 4, (first,), first)
-        )
-    least = max(first, 1)
+    least = first or 1
     out = []
-    for prefix, p00, p01, children in families:
+    for prefix, p00, p01, children in _families(spec, n - 4, (first,), first):
         solve, shift = mul[inc[p00]], sub[p01]
         for c, l00, l01 in children:
             if l00 >= least:
@@ -160,7 +161,7 @@ def _naive_chunk(spec: FieldSpec, n: int, first: int) -> list[str]:
                     if z >= first:
                         out.append(f"{prefix}{c}{alphabet[y]}{alphabet[l00]}{alphabet[z]}")
             elif p00 == neg1 and not first:
-                zs = line(neg[l01], neg[p01])
+                zs = spec.line_codes(neg[l01], neg[p01])
                 out += [f"{prefix}{c}{y}\0{alphabet[z]}" for y, z in zip(alphabet, zs)]
     return out
 
@@ -171,26 +172,16 @@ def _mitm_table(spec: FieldSpec, nr: int):
     bucket lists (mid, -r10, -r11, min(mid)) with mid the str of
     (a_{nl+1}, ..., a_{n-1}), in lex order of mid.  The signs are those
     _mitm_chunk needs, so it negates nothing; the min tag, a code, lets
-    every chunk share this one table.
-
-    The q children R = M(x) P of a parent P of length nr - 1 are built
-    together: their second row is P's first, so -r10 = -p00 and -r11 = -p01
-    are the parent's, and -r01 = -(x p01 - p11) is the row
-    line_codes(-p01, -p11).  nr = 1 has the one parent P = Id."""
+    every chunk share this one table.  R is a child x of a family P of
+    length nr - 1, so (r10, r11) is P's first row."""
     q = spec.q
-    alphabet = _alphabet(q)
-    line = spec.line_codes
     neg = spec._op_tables()[3]
-    if nr > 1:
-        parents = _prefix_products(spec, nr - 1, range(q))
-    else:
-        parents = [("", 1, 0, 0, 1)]
     table = defaultdict(list)
-    for prefix, p00, p01, p10, p11 in parents:
+    for prefix, p00, p01, children in _families(spec, nr - 1, range(q)):
         s10, s11 = neg[p00], neg[p01]
         low = ord(min(prefix)) if prefix else q
-        for c, x, r00, m01 in zip(alphabet, range(q), line(p00, p10), line(s11, neg[p11])):
-            table[r00 * q + m01].append((prefix + c, s10, s11, x if x < low else low))
+        for x, (c, r00, r01) in enumerate(children):
+            table[r00 * q + neg[r01]].append((prefix + c, s10, s11, x if x < low else low))
     return dict(table)
 
 
@@ -204,20 +195,19 @@ def _mitm_chunk(spec: FieldSpec, nl: int, first: int, table) -> list[str]:
     get = table.get
     q = spec.q
     alphabet = _alphabet(q)
-    line = spec.line_codes
-    add, sub, mul, _, _ = spec._op_tables()
-    # The leaf of parent P and child x has rows (l00, l01) = (x p00 - p10,
+    add, _, mul, _, _ = spec._op_tables()
+    # The leaf of family P and child x has rows (l00, l01) = (x p00 - p10,
     # x p01 - p11) and (l10, l11) = (p00, p01).  R L = [[0, -1], [1, -a_n]]:
     # R's first row is (l10, -l00), so the key r00 q + (-r01) is
     # p00 q + l00; the (1, 0) entry follows from det R = det L = 1 and gives
     # a_n = (-r10) l01 + (-r11) l11.
-    for prefix, p00, p01, p10, p11 in _prefix_products(spec, nl - 1, (first,), first):
+    for prefix, p00, p01, children in _families(spec, nl - 1, (first,), first):
         base = p00 * q
-        for x, l00 in zip(range(first, q), line(p00, p10, first)):
+        for c, l00, l01 in children:
             bucket = get(base + l00)
             if bucket:
-                leaf = prefix + alphabet[x]
-                m01, m11 = mul[sub[mul[x][p01]][p11]], mul[p01]
+                leaf = prefix + c
+                m01, m11 = mul[l01], mul[p01]
                 for mid, s10, s11, least in bucket:
                     if least >= first:
                         a_n = add[m01[s10]][m11[s11]]

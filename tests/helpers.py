@@ -22,7 +22,7 @@ from friezes.frieze import row_products
 from friezes.gf import Mat2
 from friezes.moduli import configuration_index_tuples
 from friezes.partitions import _rgs_strings
-from friezes.search import _alphabet, _prefix_products
+from friezes.search import _alphabet
 
 PRIME_POWERS_LE_9 = (2, 3, 4, 5, 7, 8, 9)
 
@@ -279,9 +279,10 @@ def full_rows(spec: FieldSpec, width: int, strategy: str) -> list[tuple[int, ...
 
 def naive_chunk_per_leaf(spec: FieldSpec, n: int, first: int) -> list[str]:
     """search._naive_chunk completed one leaf at a time: every prefix of
-    length n - 3 from _prefix_products, each solved on its own from its
-    product P.  _naive_chunk completes the children of each prefix of length
-    n - 4 in one loop and builds no leaf."""
+    length n - 3, a_1 = first and the rest from itertools.product over the
+    codes >= first, each folded by row_products and solved on its own from
+    its product P.  _naive_chunk completes the children of each family of
+    length n - 4 in one loop and builds no leaf."""
     alphabet = _alphabet(spec.q)
     add, sub, mul, neg, inv = spec._op_tables()
     inc, neg1 = add[1], neg[1]
@@ -289,7 +290,10 @@ def naive_chunk_per_leaf(spec: FieldSpec, n: int, first: int) -> list[str]:
     # M(z) M(p00) M(y) = -P^(-1) = [[-p11, p01], [p10, -p00]] needs
     # y p00 = 1 + p10 and gives z = p11 - y p01.  When p00 = 0 every y works
     # and the z are the row -p01 y + p11; only chunk 0 keeps those rows.
-    for prefix, p00, p01, p10, p11 in _prefix_products(spec, n - 3, (first,), first):
+    for tail in itertools.product(range(first, spec.q), repeat=n - 4):
+        codes = (first, *tail)
+        p00, p01, p10, p11 = row_products(spec, codes)[-1]
+        prefix = "".join(map(alphabet.__getitem__, codes))
         if p00 >= max(first, 1):
             y = mul[inc[p10]][inv[p00]]
             z = sub[p11][mul[y][p01]]
@@ -302,15 +306,19 @@ def naive_chunk_per_leaf(spec: FieldSpec, n: int, first: int) -> list[str]:
 
 
 def flat_mitm_table(spec: FieldSpec, nr: int) -> dict:
-    """search._mitm_table built one entry at a time: every middle product of
-    length nr from _prefix_products, keyed by r00 q + (-r01), with the entry
-    (mid, -r10, -r11, min(mid)) negated and tagged on its own.  _mitm_table
-    builds the q children of a parent together from the parent's rows."""
+    """search._mitm_table built one entry at a time: every middle of length
+    nr from itertools.product, folded by row_products, keyed by
+    r00 q + (-r01), with the entry (mid, -r10, -r11, min(mid)) negated and
+    tagged on its own.  _mitm_table builds the q children of a family
+    together from the family's rows."""
     q = spec.q
+    alphabet = _alphabet(q)
     neg = spec._op_tables()[3]
     table = defaultdict(list)
-    for mid, r00, r01, r10, r11 in _prefix_products(spec, nr, range(q)):
-        table[r00 * q + neg[r01]].append((mid, neg[r10], neg[r11], ord(min(mid))))
+    for codes in itertools.product(range(q), repeat=nr):
+        r00, r01, r10, r11 = row_products(spec, codes)[-1]
+        mid = "".join(map(alphabet.__getitem__, codes))
+        table[r00 * q + neg[r01]].append((mid, neg[r10], neg[r11], min(codes)))
     return dict(table)
 
 

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 import tracemalloc
@@ -357,7 +356,13 @@ def test_code_ops_read_the_op_tables_above_the_lazy_limit(p, k):
     pairs = [(rng.randrange(q), rng.randrange(1, q)) for _ in range(300)]
 
     def raw_pow(a, e):
-        return functools.reduce(spec._mul_raw, [a] * e, 1)
+        # square and multiply: O(log e) raw products, not the e of a fold
+        out = 1
+        while e:
+            if e & 1:
+                out = spec._mul_raw(out, a)
+            a, e = spec._mul_raw(a, a), e >> 1
+        return out
 
     raw_inv = {b: raw_pow(b, q - 2) for _, b in pairs}
     expected = [

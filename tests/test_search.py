@@ -24,11 +24,11 @@ from friezes.formulas import count_friezes
 from friezes.frieze import dihedral_orbit_codes, row_products
 from friezes.gf import parse_field_descriptor
 from friezes.search import (
+    _families,
     _min_first_images,
     _mitm_chunk,
     _mitm_table,
     _naive_chunk,
-    _prefix_products,
 )
 
 from helpers import (
@@ -48,10 +48,31 @@ F3 = FieldSpec(3)
 F4 = FieldSpec(2, 2)
 
 
-def decoded_states(states):
-    """_prefix_products states with their prefixes decoded to code tuples."""
-    prefixes = decode(state[0] for state in states)
-    return [(prefix, *state[1:]) for prefix, state in zip(prefixes, states)]
+def decoded_families(families):
+    """_families with its prefixes and child chars decoded to codes and its
+    children listed."""
+    return [
+        (tuple(map(ord, prefix)), p00, p01, [(ord(c), *row) for c, *row in children])
+        for prefix, p00, p01, children in families
+    ]
+
+
+def families_by_row_products(spec, depth, firsts, low=0):
+    """The families of _families(spec, depth, firsts, low) built on their
+    own: prefixes from itertools.product, each family's first row and every
+    child's read off row_products of the prefix and of the prefix + (x,)."""
+    children = firsts if depth == 0 else range(low, spec.q)
+    prefixes = [()] if depth == 0 else [
+        (a, *tail) for a in firsts for tail in itertools.product(range(low, spec.q), repeat=depth - 1)
+    ]
+    return [
+        (
+            prefix,
+            *(row_products(spec, prefix)[-1][:2] if prefix else (1, 0)),
+            [(x, *row_products(spec, prefix + (x,))[-1][:2]) for x in children],
+        )
+        for prefix in prefixes
+    ]
 
 
 def test_published_counts():
@@ -364,31 +385,27 @@ def test_jacobsthal_recursion_small():
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_prefix_products_match_row_products(q):
-    # states and order: the lex product of prefixes, each with its product
+def test_families_match_row_products(q):
+    # families and order: the lex product of prefixes, each with its
+    # product's first row and its children's; depth 0 is Id, whose children
+    # are firsts, and low > 0 bounds every code after a_1
     spec = field_by_q(q)
-    for length in range(1, 5):
-        prefixes = list(itertools.product(range(q), repeat=length))
-        expected = [(t, *row_products(spec, t)[-1]) for t in prefixes]
-        assert decoded_states(_prefix_products(spec, length, range(q))) == expected
-        first = q - 1
-        assert decoded_states(_prefix_products(spec, length, (first,))) == [
-            state for state in expected if state[0][0] == first
-        ]
+    for depth in range(5):
+        for firsts, low in ((range(q), 0), ((q - 1,), 0), ((1,), 1), ((0, q - 1), q - 1)):
+            got = decoded_families(_families(spec, depth, firsts, low))
+            assert got == families_by_row_products(spec, depth, firsts, low), (depth, firsts, low)
+            assert len(got) == (len(firsts) * (q - low) ** (depth - 1) if depth else 1)
 
 
 @pytest.mark.parametrize("p, k", [(257, 1), (17, 2)])
-def test_prefix_products_without_op_tables(p, k, monkeypatch):
+def test_families_without_op_tables(p, k, monkeypatch):
     # as if above gf.LAZY_TABLE_LIMIT: a progression mod p, or raw rows
     without_op_tables(monkeypatch, 256)
     spec = FieldSpec(p, k)
     firsts = (0, 5, spec.q - 1)
-    expected = [
-        ((a, b), *row_products(spec, (a, b))[-1])
-        for a in firsts
-        for b in range(spec.q)
-    ]
-    assert decoded_states(_prefix_products(spec, 2, firsts)) == expected
+    for depth, low in ((1, 0), (2, spec.q - 3)):
+        expected = families_by_row_products(spec, depth, firsts, low)
+        assert decoded_families(_families(spec, depth, firsts, low)) == expected
     assert not holds_square_tables(spec)
 
 
